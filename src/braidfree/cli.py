@@ -5,8 +5,8 @@ tool_version, seed) and are byte-identical across runs with the same inputs
 and seed; ``--format table`` renders a human-readable view instead.
 
 Exit codes: 0 for any mathematical verdict, 2 for input errors, 3 for an
-internal assertion failure (a bug, e.g. the two eliminability routes
-disagreeing).
+internal failure (a bug, e.g. the two eliminability routes disagreeing, or a
+``--jobs`` worker process dying).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .deform import DeformationSpec, deformation_verdict
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         body = args.handler(args)
-    except AssertionError as exc:
+    except (AssertionError, BrokenProcessPool) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (InputError, UnsupportedSizeError, ValueError, OSError) as exc:

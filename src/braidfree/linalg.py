@@ -1,86 +1,169 @@
-"""Exact linear algebra over the rationals, built on integer rows.
+"""Exact linear algebra over the rationals, built on sparse integer rows.
 
-Row reduction is fraction-free: a row update is  row <- a*row - b*pivot  with
-a, b coprime, followed by a content division when the multiplier is not 1.
-Everything stays in arbitrary-precision integers, so ranks and nullspaces are
-certificates rather than numerical estimates.
+One routine does every elimination: ``ReducedSpan`` keeps a table of pivot
+rows, each a ``{column: int}`` dict keyed by its lowest column.  An incoming
+row is reduced at its lowest column against the pivot row stored there, as
+row <- a*row - b*pivot with a, b coprime, then divided by its content; a row
+whose lowest column has no pivot yet becomes a new primitive pivot row.  The
+same table gives the rank and, lazily, one right-kernel vector per free
+column by integer back-substitution.  Everything stays in arbitrary-precision
+integers, so ranks and kernels are certificates rather than numerical
+estimates.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def _divide_content(row, start):
-    g = 0
-    for c in range(start, len(row)):
-        v = row[c]
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return
-    if g > 1:
-        for c in range(start, len(row)):
-            row[c] //= g
+def _sparse(vec) -> dict:
+    """A fresh ``{column: value}`` copy of a dense or sparse row."""
+    if isinstance(vec, dict):
+        return dict(vec)
+    return {c: v for c, v in enumerate(vec) if v}
 
 
-def row_echelon(rows: list[list[int]], ncols: int | None = None):
-    """Reduce ``rows`` in place to echelon form; return (rank, pivot columns).
+def _primitive_sparse(vec: dict) -> dict:
+    """Divide a nonzero sparse vector by its content; make its lead positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    if g != 1:
+        for c in vec:
+            vec[c] //= g
+    return vec
 
-    Pivot rows are chosen by smallest absolute entry to limit growth.
+
+class ReducedSpan:
+    """Incrementally maintained echelon basis of integer row vectors.
+
+    ``pivots`` maps each pivot column to the primitive row whose lowest
+    column it is.  Rows may be dense sequences or ``{column: int}`` dicts.
+    The constructor eliminates a whole batch of rows (sparsest first),
+    ``insert`` adds one more, and ``kernel`` yields the right kernel of
+    everything inserted so far.  When a row being reduced is sparser than
+    the pivot row at its lowest column, the two trade places, which keeps
+    the table sparse.
     """
-    nrows = len(rows)
-    if nrows == 0:
-        return 0, []
-    if ncols is None:
-        ncols = len(rows[0])
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        best = -1
-        bestval = 0
-        for r in range(rank, nrows):
-            v = rows[r][col]
-            if v:
-                a = -v if v < 0 else v
-                if best < 0 or a < bestval:
-                    best, bestval = r, a
-                    if a == 1:
-                        break
-        if best < 0:
-            continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        piv = rows[rank]
-        pv = piv[col]
-        for r in range(rank + 1, nrows):
-            row = rows[r]
-            v = row[col]
-            if not v:
+
+    def __init__(self, ncols: int, rows=()):
+        self.ncols = ncols
+        self.pivots: dict[int, dict] = {}
+        for row in sorted(map(_sparse, rows), key=len):
+            self._insert(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, vec) -> bool:
+        """Reduce and, if independent, add; True when the rank grew."""
+        return self._insert(_sparse(vec))
+
+    def _insert(self, row: dict) -> bool:
+        pivots = self.pivots
+        cols = list(row)        # heap of the row's columns; stale entries are skipped
+        heapify(cols)
+        while cols:
+            lead = heappop(cols)
+            x = row.get(lead)
+            if x is None:
                 continue
-            if v % pv == 0:
-                q = v // pv
-                for c in range(col, ncols):
-                    if piv[c]:
-                        row[c] -= q * piv[c]
-            else:
-                g = gcd(pv, v)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = _primitive_sparse(row)
+                return True
+            if len(row) < len(piv):
+                pivots[lead] = _primitive_sparse(row)
+                row, piv = piv, pivots[lead]
+                x = row[lead]
+                cols = [c for c in row if c != lead]
+                heapify(cols)
+            pv = piv[lead]
+            scaled = x % pv != 0
+            if scaled:
+                g = gcd(pv, x)
                 a = pv // g
-                b = v // g
-                for c in range(col, ncols):
-                    row[c] = a * row[c] - b * piv[c]
-                _divide_content(row, col)
-        pivots.append(col)
-        rank += 1
-    return rank, pivots
+                x //= g
+                for c in row:
+                    row[c] *= a
+            else:
+                x //= pv
+            for c, v in piv.items():
+                w = row.get(c)
+                if w is None:
+                    row[c] = -x * v
+                    heappush(cols, c)
+                else:
+                    w -= x * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+            if scaled and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
+        return False
+
+    def kernel(self):
+        """Yield a primitive basis of {x : row . x = 0 for every inserted row}.
+
+        One vector per free column, in increasing column order, with its last
+        nonzero entry in that column; each is back-substituted only when the
+        caller asks for it.
+        """
+        pivots = self.pivots
+        users = defaultdict(list)   # column -> pivot columns whose rows hold it
+        for p, row in pivots.items():
+            for c in row:
+                if c != p:
+                    users[c].append(p)
+        for free in range(self.ncols):
+            if free in pivots:
+                continue
+            x = {free: 1}
+            todo = [-p for p in users[free]]
+            heapify(todo)
+            queued = set(users[free])
+            while todo:
+                p = -heappop(todo)
+                row = pivots[p]
+                s = 0
+                for c, v in row.items():
+                    if c in x:
+                        s += v * x[c]
+                if not s:
+                    continue
+                pv = row[p]
+                g = gcd(s, pv)
+                den = pv // g
+                num = -s // g
+                if den < 0:
+                    den, num = -den, -num
+                if den != 1:
+                    for c in x:
+                        x[c] *= den
+                x[p] = num
+                for q in users[p]:
+                    if q not in queued:
+                        queued.add(q)
+                        heappush(todo, -q)
+            yield _primitive_sparse(x)
 
 
-def rank_of(rows, ncols: int | None = None) -> int:
-    work = [list(r) for r in rows]
-    rank, _ = row_echelon(work, ncols)
-    return rank
+def rank_of(rows, ncols: int) -> int:
+    return ReducedSpan(ncols, rows).rank
+
+
+def nullspace(rows, ncols: int) -> list[list[int]]:
+    """A primitive integer basis of the right kernel {x : rows @ x = 0}, as
+    dense rows, one per free column."""
+    return [[x.get(c, 0) for c in range(ncols)] for x in ReducedSpan(ncols, rows).kernel()]
 
 
 def primitive(vec) -> list[int]:
@@ -103,92 +186,6 @@ def primitive(vec) -> list[int]:
                 ints = [-x for x in ints]
             break
     return ints
-
-
-def nullspace(rows, ncols: int):
-    """A primitive integer basis of the right kernel {x : rows @ x = 0}.
-
-    One basis vector per free column, with a 1 in the free slot, so the basis
-    is independent by construction.
-    """
-    work = [list(r) for r in rows]
-    rank, pivots = row_echelon(work, ncols)
-    work = work[:rank]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        x: list = [0] * ncols
-        x[free] = Fraction(1)
-        for r in range(rank - 1, -1, -1):
-            pc = pivots[r]
-            if pc > free:
-                continue
-            row = work[r]
-            s = row[free] if free > pc else 0
-            for c in pivots[r + 1:]:
-                if c > free:
-                    break
-                if row[c] and x[c]:
-                    s += row[c] * x[c]
-            x[pc] = -Fraction(s, row[pc]) if s else Fraction(0)
-        basis.append(primitive(x))
-    return basis
-
-
-class ReducedSpan:
-    """Incrementally maintained echelon basis for integer row vectors.
-
-    ``reduce`` returns the (primitive) residual of a vector against the span;
-    ``add`` inserts an independent residual.  Used to split new module
-    elements from products of the generators already chosen.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec) -> list[int]:
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            x = v[pc]
-            if not x:
-                continue
-            pv = row[pc]
-            if x % pv == 0:
-                q = x // pv
-                for c in range(pc, self.ncols):
-                    if row[c]:
-                        v[c] -= q * row[c]
-            else:
-                g = gcd(pv, x)
-                a = pv // g
-                b = x // g
-                for c in range(self.ncols):
-                    v[c] = a * v[c] - b * row[c] if row[c] else a * v[c]
-                _divide_content(v, 0)
-        return v
-
-    def add(self, residual) -> bool:
-        for pc, x in enumerate(residual):
-            if x:
-                at = 0
-                while at < len(self.pivots) and self.pivots[at] < pc:
-                    at += 1
-                self.rows.insert(at, primitive(residual))
-                self.pivots.insert(at, pc)
-                return True
-        return False
-
-    def insert(self, vec) -> bool:
-        """Reduce and, if independent, add; True when the rank grew."""
-        return self.add(self.reduce(vec))
 
 
 def fraction_matrix_inverse(rows):

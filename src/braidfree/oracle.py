@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul
 
 from .graphs import UnsupportedSizeError
-from .linalg import (ReducedSpan, fraction_determinant, fraction_matrix_inverse,
-                     nullspace, primitive, rank_of, row_echelon)
+from .linalg import ReducedSpan, fraction_determinant, fraction_matrix_inverse, primitive
 
 FREE = "Free"
 NONFREE = "NonFree"
@@ -204,26 +204,26 @@ def _expansion(normal: tuple, d: int, cap: int):
 
 
 def _assemble(a: MultiArrangement, d: int):
-    """Constraint rows over the unknown coefficient vector of a degree-d
-    derivation (columns are coordinate-major: column i*M + t is the t-th
-    monomial of the i-th component)."""
+    """Sparse constraint rows ``{column: int}`` over the unknown coefficient
+    vector of a degree-d derivation (columns are coordinate-major: column
+    i*M + t is the t-th monomial of the i-th component)."""
     nv = a.dim
     M = _mono_count(nv, d)
     cols = nv * M
     if cols > _MAX_UNKNOWNS:
         raise UnsupportedSizeError("degree exceeds the desk-scale budget")
-    rows: list[list[int]] = []
+    rows: list[dict] = []
     for normal, mult in a.hyperplanes:
         cap = min(mult, d + 1)
         nrows, entries = _expansion(normal, d, cap)
-        block = [[0] * cols for _ in range(nrows)]
+        block: list[dict] = [{} for _ in range(nrows)]
         for i, ai in enumerate(normal):
             if not ai:
                 continue
             off = i * M
             for t in range(M):
                 for row, coeff in entries[t]:
-                    block[row][off + t] += ai * coeff
+                    block[row][off + t] = ai * coeff
         rows.extend(block)
     return rows, cols
 
@@ -285,30 +285,26 @@ def _poly_vanishes_mod_power(poly: dict, normal: tuple, mult: int) -> bool:
     return not any(acc)
 
 
-def _element_from_flat(vec, nv: int, d: int) -> DerivationElement:
+def _element_from_flat(vec: dict, nv: int, d: int) -> DerivationElement:
+    """The derivation whose sparse coefficient vector is ``vec``."""
     monos = monomials(nv, d)
     M = len(monos)
-    comps = []
-    for i in range(nv):
-        comp = {}
-        for t in range(M):
-            c = vec[i * M + t]
-            if c:
-                comp[monos[t]] = c
-        comps.append(comp)
+    comps: list[dict] = [{} for _ in range(nv)]
+    for col in sorted(vec):
+        i, t = divmod(col, M)
+        comps[i][monos[t]] = vec[col]
     return DerivationElement(d, tuple(comps))
 
 
-def _flat_shifted(el: DerivationElement, mu: tuple, nv: int, d: int):
-    """Coefficient vector of x^mu * el at degree d."""
+def _flat_shifted(el: DerivationElement, mu: tuple, nv: int, d: int) -> dict:
+    """Sparse coefficient vector of x^mu * el at degree d."""
     idx = monomial_index(nv, d)
     M = len(idx)
-    vec = [0] * (nv * M)
+    vec = {}
     for i, comp in enumerate(el.components):
         off = i * M
         for exp, c in comp.items():
-            key = tuple(a + b for a, b in zip(exp, mu))
-            vec[off + idx[key]] = c
+            vec[off + idx[tuple(a + b for a, b in zip(exp, mu))]] = c
     return vec
 
 
@@ -332,9 +328,10 @@ class _EssentialForm:
 @lru_cache(maxsize=None)
 def _essential_form(a: MultiArrangement) -> _EssentialForm:
     n = a.dim
-    work = [list(normal) for normal, _ in a.hyperplanes]
-    rank, pivots = row_echelon(work, n)
-    basis = [tuple(r) for r in work[:rank]]
+    span = ReducedSpan(n, (normal for normal, _ in a.hyperplanes))
+    rank = span.rank
+    pivots = sorted(span.pivots)
+    basis = [tuple(span.pivots[p].get(c, 0) for c in range(n)) for p in pivots]
     ess_hyps = []
     for normal, mult in a.hyperplanes:
         residual = [Fraction(x) for x in normal]
@@ -436,7 +433,7 @@ def _rescale_element(degree: int, comps, ambient: int) -> DerivationElement:
 @lru_cache(maxsize=None)
 def _ess_graded(ess: MultiArrangement, d: int) -> int:
     rows, cols = _assemble(ess, d)
-    return cols - rank_of(rows, cols)
+    return cols - ReducedSpan(cols, rows).rank
 
 
 def graded_dimension(a: MultiArrangement, d: int) -> int:
@@ -450,13 +447,8 @@ def graded_dimension(a: MultiArrangement, d: int) -> int:
     if not a.hyperplanes:
         return a.dim * _mono_count(a.dim, d)
     form = _essential_form(a)
-    center = a.dim - form.rank
-    total = center * _mono_count(a.dim, d)
-    for e in range(d + 1):
-        mc = _mono_count(center, d - e)
-        if mc:
-            total += _ess_graded(form.ess, e) * mc
-    return total
+    ess_dims = {e: _ess_graded(form.ess, e) for e in range(d + 1)}
+    return _lifted_dimension_table(ess_dims, a.dim - form.rank, a.dim)[d]
 
 
 def _lifted_dimension_table(ess_dims: dict, center: int, ambient: int) -> dict:
@@ -474,25 +466,44 @@ def _lifted_dimension_table(ess_dims: dict, center: int, ambient: int) -> dict:
 # ---------------------------------------------------------------------------
 # generator scan
 
+def _check_kernel_vector(rows, vec: dict, cols: int) -> None:
+    """Raise unless every constraint row annihilates ``vec`` exactly."""
+    dense = [0] * cols
+    for c, v in vec.items():
+        dense[c] = v
+    for row in rows:
+        if sum(map(mul, row.values(), map(dense.__getitem__, row))):
+            raise AssertionError("kernel vector violates a constraint row")
+
+
 def _scan_degree(ess: MultiArrangement, d: int, gens: list):
-    """One degree of the minimal-generator scan; appends new generators."""
+    """One degree of the minimal-generator scan; appends new generators.
+
+    The constraint rows are eliminated once: the pivot table gives the layer
+    dimension, and kernel vectors are drawn from it lazily until the span of
+    products and new generators fills the layer.
+    """
     nv = ess.dim
     rows, cols = _assemble(ess, d)
-    dim_d = cols - rank_of(rows, cols)
+    table = ReducedSpan(cols, rows)
+    dim_d = cols - table.rank
     span = ReducedSpan(cols)
     for gen in gens:
         for mu in monomials(nv, d - gen.degree):
+            if span.rank == dim_d:
+                break
             span.insert(_flat_shifted(gen, mu, nv, d))
     n_new = dim_d - span.rank
     if n_new < 0:
         raise AssertionError("product span exceeds the layer dimension")
     if n_new:
-        added = 0
-        for vec in nullspace(rows, cols):
+        for vec in table.kernel():
+            if span.rank == dim_d:
+                break
             if span.insert(vec):
+                _check_kernel_vector(rows, vec, cols)
                 gens.append(_element_from_flat(vec, nv, d))
-                added += 1
-        if added != n_new:
+        if span.rank != dim_d:
             raise AssertionError("generator extraction does not match the count")
     return dim_d, n_new
 
@@ -505,42 +516,16 @@ def _random_point(a: MultiArrangement, rng: random.Random):
     raise AssertionError("could not sample a point off the arrangement")
 
 
-def _symbolic_determinant(mat) -> dict:
-    n = len(mat)
-    if n == 1:
-        return dict(mat[0][0])
-    total: dict = {}
-    for j in range(n):
-        piv = mat[0][j]
-        if not piv:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-        sub = _symbolic_determinant(minor)
-        sign = 1 if j % 2 == 0 else -1
-        for e, v in _poly_mul(piv, sub).items():
-            w = total.get(e, 0) + sign * v
-            if w:
-                total[e] = w
-            elif e in total:
-                del total[e]
-    return total
+def _saito_determinant(a: MultiArrangement, gens, seed: int):
+    """(nonzero?, evaluation point) for the coefficient determinant of ``gens``.
 
-
-def _saito_determinant(a: MultiArrangement, gens, seed: int, escalate_after: int = 5):
-    """(nonzero?, witness point) for the coefficient determinant of ``gens``.
-
-    Evaluates at seeded random points off the arrangement; after
-    ``escalate_after`` zero evaluations falls back to the exact symbolic
-    determinant (witness None).
+    For members of the module whose degrees sum to the multiplicity sum, the
+    determinant is c times the product of the defining forms to their
+    multiplicities (Saito 1980; Ziegler 1989), so its value at one seeded
+    point off the arrangement is zero exactly when c is.
     """
-    rng = random.Random(seed)
-    for _ in range(escalate_after):
-        pt = _random_point(a, rng)
-        m = [[Fraction(x) for x in gen.evaluate(pt)] for gen in gens]
-        if fraction_determinant(m):
-            return True, pt
-    det = _symbolic_determinant([[dict(c) for c in gen.components] for gen in gens])
-    return bool(det), None
+    pt = _random_point(a, random.Random(seed))
+    return bool(fraction_determinant([gen.evaluate(pt) for gen in gens])), pt
 
 
 def saito_check(a: MultiArrangement, gens, seed: int = 0) -> bool:
@@ -719,7 +704,7 @@ def euler_restriction_degree(m0: int, others) -> int:
         return d1
     rows, cols = _assemble(arr, d1)
     alpha0 = arr.hyperplanes[0][0]
-    for vec in nullspace(rows, cols):
+    for vec in ReducedSpan(cols, rows).kernel():
         el = _element_from_flat(vec, 2, d1)
         if not all(_poly_vanishes_mod_power(comp, alpha0, 1)
                    for comp in el.components):

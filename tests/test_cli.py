@@ -1,6 +1,7 @@
 """CLI surface: schemas, determinism, exit codes."""
 
 import json
+import os
 
 from braidfree.cli import main
 
@@ -161,6 +162,19 @@ def test_internal_assertion_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "structurally_eliminable", lambda g: False)
     rc, _ = run(capsys, "census", "--vertices", "2")
     assert rc == 3
+
+
+def _die_in_worker(payload):
+    os._exit(1)
+
+
+def test_dead_census_worker_exits_three(capsys, monkeypatch):
+    import braidfree.cli as cli
+    monkeypatch.setattr(cli, "_census_row", _die_in_worker)
+    rc = main(["--jobs", "2", "census", "--vertices", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

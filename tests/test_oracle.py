@@ -1,15 +1,18 @@
 """The exact derivation-module engine: graded dimensions, minimal generators,
 Saito certification, and freeness verdicts on classical fixtures."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
                        UnsupportedSizeError, classify, freeness_verdict,
                        graded_dimension, minimal_generators, saito_check,
                        to_arrangement)
+from braidfree.linalg import primitive
 from braidfree.oracle import (DerivationElement, FREE, INCONCLUSIVE, NONFREE,
                               coordinate_derivations, monomials)
 
@@ -169,3 +172,19 @@ def test_small_budget_is_inconclusive_not_wrong():
     cert = freeness_verdict(BRAID3_DOUBLE, budget=1)
     assert cert.status == INCONCLUSIVE
     assert cert.note is not None
+
+
+NORMALS3 = sorted({tuple(primitive(v)) for v in itertools.product((-1, 0, 1), (-1, 0, 1), (0, 1, 2))
+                   if any(v)})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(NORMALS3), st.integers(1, 2)),
+                min_size=1, max_size=5, unique_by=lambda h: h[0]).flatmap(
+       lambda hyps: st.tuples(st.just(hyps), st.permutations(hyps))))
+def test_dimension_table_invariant_under_reordering(pair):
+    hyps, shuffled = pair
+    a = minimal_generators(MultiArrangement(3, tuple(hyps)), budget=4)
+    b = minimal_generators(MultiArrangement(3, tuple(shuffled)), budget=4)
+    assert a.dimension_table == b.dimension_table
+    assert a.generator_degrees == b.generator_degrees
