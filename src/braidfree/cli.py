@@ -12,6 +12,7 @@ internal failure (a bug, e.g. the two eliminability routes disagreeing, or a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -20,12 +21,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .deform import DeformationSpec, deformation_verdict
-from .eliminate import (complete_filtration, find_ordering, structural_check,
-                        structurally_eliminable, tilde_degrees)
+from .eliminate import complete_filtration, is_eliminable, tilde_degrees
 from .fileio import (InputError, digraph_to_obj, graph_to_obj, load_arrangement,
                      load_digraph, load_graph, load_spec, spec_to_obj)
 from .graphs import EdgeBicoloredGraph, UnsupportedSizeError, enumerate_classes
-from .multibraid import FREE, MultiBraidSpec, char_poly, classify, lmp2, to_arrangement
+from .multibraid import FREE, CharPoly, MultiBraidSpec, classify, lmp2, to_arrangement
 from .oracle import freeness_verdict
 
 SAMPLING_CENSUS_VERTICES = 6
@@ -54,15 +54,14 @@ def _structural_obj(report) -> dict:
 
 
 def _verdict_obj(spec: MultiBraidSpec, verdict) -> dict:
-    structural = verdict.witness or structural_check(spec.graph)
     return {
         "status": verdict.status,
         "condition": verdict.condition,
-        "eliminable": verdict.ordering is not None,
+        "eliminable": verdict.structural.passes,
         "ordering": list(verdict.ordering.ranks) if verdict.ordering else None,
         "tilde_degrees": list(verdict.tilde) if verdict.tilde else None,
         "exponents": list(verdict.exponents) if verdict.exponents else None,
-        "structural": _structural_obj(structural),
+        "structural": _structural_obj(verdict.structural),
         "exponent_offset": spec.exponent_offset,
         "multiplicity_sum": spec.multiplicity_sum,
     }
@@ -94,7 +93,7 @@ def cmd_classify(args) -> dict:
     result = _verdict_obj(spec, verdict)
     result["lmp2"] = lmp2(spec)
     if verdict.status == FREE:
-        result["char_poly_roots"] = list(char_poly(spec).roots)
+        result["char_poly_roots"] = list(CharPoly.of(verdict).roots)
         filtration = complete_filtration(graph, verdict.ordering)
         result["filtration"] = [list(edge) for edge, _ in filtration.added_edges]
     else:
@@ -109,9 +108,7 @@ def cmd_classify(args) -> dict:
 def _census_row(payload) -> dict:
     key, digits, n, labeled, with_oracle, seed = payload
     graph = EdgeBicoloredGraph.from_digits(n, digits)
-    nu = find_ordering(graph)
-    if (nu is not None) != structurally_eliminable(graph):
-        raise AssertionError("eliminability routes disagree on a census class")
+    nu = is_eliminable(graph).ordering
     row = {
         "key": key,
         "graph": graph_to_obj(graph),
@@ -168,10 +165,7 @@ def cmd_census(args) -> dict:
         for _ in range(SAMPLING_CENSUS_SIZE):
             digits = tuple(rng.randrange(3) for _ in range(nslots))
             graph = EdgeBicoloredGraph.from_digits(args.vertices, digits)
-            nu = find_ordering(graph)
-            if (nu is not None) != structurally_eliminable(graph):
-                raise AssertionError("eliminability routes disagree on a sample")
-            eliminable += nu is not None
+            eliminable += is_eliminable(graph).eliminable
         return {
             "inputs": {"vertices": args.vertices, "include_swap": include_swap,
                        "oracle": False},
@@ -237,6 +231,7 @@ def _render_table(report: dict, out) -> None:
     emit("", report["result"])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidfree",

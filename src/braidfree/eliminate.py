@@ -2,10 +2,13 @@
 
 The ordering route searches for a vertex ranking that avoids the two
 forbidden triple patterns below; the structural route checks chordality of
-both one-colored graphs, eliminability of every 4-vertex induced subgraph,
-and the absence of the two induced obstruction shapes (mountains and hills).
-The two verdicts must always agree; a disagreement is an internal bug, not a
-mathematical outcome.
+both one-colored graphs (greedy simplicial elimination on bitmask
+adjacency), eliminability of every 4-vertex induced subgraph (a lookup in a
+729-entry table built from the ordering route on first use), and the
+absence of the two induced obstruction shapes (mountains and hills).
+``structural_check`` is the one structural routine; ``is_eliminable`` runs
+both routes and is the one place their agreement is asserted.  A
+disagreement is an internal bug, not a mathematical outcome.
 
 Forbidden patterns for a triple (i, j, k) with k ranked above i and j, for a
 color s in {Plus, Minus}:
@@ -16,11 +19,11 @@ color s in {Plus, Minus}:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .graphs import (ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph,
-                     induced_subgraph)
+from .graphs import ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph
 
 
 @dataclass(frozen=True)
@@ -87,20 +90,8 @@ def is_valid_ordering(g: EdgeBicoloredGraph, nu: Ordering) -> bool:
     """True iff no triple with its top-ranked vertex matches pattern (1) or (2)."""
     if nu.n != g.n:
         raise ValueError("ordering size does not match the graph")
-    mat = g.mat
     by = nu.by_rank
-    for top in range(2, g.n):
-        k = by[top]
-        row_k = mat[k]
-        for x in range(top):
-            i = by[x]
-            a = row_k[i]
-            row_i = mat[i]
-            for y in range(x + 1, top):
-                j = by[y]
-                if _triple_bad(a, row_k[j], row_i[j]):
-                    return False
-    return True
+    return all(_sink_ok(g.mat, by[top], by[:top + 1]) for top in range(2, g.n))
 
 
 def _sink_ok(mat, v: int, members) -> bool:
@@ -264,27 +255,49 @@ def is_chordal_one_color(g: EdgeBicoloredGraph, color: int) -> bool:
     """Chordality of the one-colored graph (V, E^color) by simplicial elimination.
 
     A graph is chordal iff its vertices admit an elimination order; greedily
-    removing any vertex whose neighborhood is a clique is exact.
+    removing any vertex whose neighborhood is a clique is exact.  Vertex v is
+    bit v of the remaining-set mask and of ``g.adjacency``.
     """
-    adj = {v: {u for u in g.vertices() if g.mat[v][u] == color}
-           for v in g.vertices()}
-    remaining = set(g.vertices())
+    adj = g.adjacency[color]
+    remaining = (1 << (g.n + 1)) - 2
     while remaining:
-        for v in sorted(remaining):
-            nb = adj[v] & remaining
-            if all(b in adj[a] for a, b in itertools.combinations(sorted(nb), 2)):
-                remaining.discard(v)
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nb = adj[low.bit_length() - 1] & remaining
+            # nb is a clique iff each member misses no other member
+            others = nb
+            while others:
+                bit = others & -others
+                if nb & ~adj[bit.bit_length() - 1] & ~bit:
+                    break
+                others ^= bit
+            else:
+                remaining ^= low
                 break
         else:
             return False
     return True
 
 
+@functools.cache
+def _quadruple_table() -> bytes:
+    """Eliminability of every 4-vertex coloring, indexed by the base-3 code of
+    its digits (slot 0 most significant); built on first use."""
+    return bytes(find_ordering(EdgeBicoloredGraph.from_digits(4, digits)) is not None
+                 for digits in itertools.product((ABSENT, PLUS, MINUS), repeat=6))
+
+
 def find_bad_quadruple(g: EdgeBicoloredGraph):
-    """Some 4-vertex subset whose induced subgraph admits no ordering, or None."""
-    for quad in itertools.combinations(g.vertices(), 4):
-        if find_ordering(induced_subgraph(g, quad)) is None:
-            return quad
+    """The first 4-vertex subset, in ``combinations`` order, whose induced
+    subgraph admits no ordering, or None."""
+    mat = g.mat
+    for a, b, c, d in itertools.combinations(g.vertices(), 4):
+        ra, rb = mat[a], mat[b]
+        code = ((((ra[b] * 3 + ra[c]) * 3 + ra[d]) * 3 + rb[c]) * 3 + rb[d]) * 3 + mat[c][d]
+        if not _quadruple_table()[code]:
+            return a, b, c, d
     return None
 
 
@@ -303,43 +316,55 @@ class HillWitness:
     omega2: int
 
 
+def _ridge_path(adj, ridge: int, hubs: int, starts: int, interior: int, ends: int,
+                shortest: int):
+    """The first induced path, in vertex order, of ``ridge`` edges off the
+    ``hubs`` mask (masks and ``adj`` as in ``EdgeBicoloredGraph.adjacency``):
+    it starts in ``starts``, runs through ``interior`` and stops at a vertex
+    of ``ends`` once ``shortest`` vertices precede it."""
+    if not starts:
+        return None
+    absent = adj[ABSENT]
+    ridge_adj = adj[ridge]
+
+    def extend(path, used):
+        last = path[-1]
+        earlier = used ^ hubs ^ 1 << last
+        cand = ridge_adj[last] & ~used & (interior | ends if len(path) >= shortest else interior)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            # u may touch no earlier path vertex except its predecessor
+            if earlier & ~absent[u]:
+                continue
+            if low & ends:
+                return (*path, u)
+            found = extend((*path, u), used | low)
+            if found is not None:
+                return found
+        return None
+
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        found = extend((low.bit_length() - 1,), hubs | low)
+        if found is not None:
+            return found
+    return None
+
+
 def find_mountain(g: EdgeBicoloredGraph):
     """Search for an induced mountain: a path v_1..v_m (m >= 3) in one color
     with a hub joined by the other color to the interior vertices only; every
     remaining pair among the chosen vertices must be absent."""
-    mat = g.mat
-    vs = list(g.vertices())
+    adj = g.adjacency
     for sigma in (PLUS, MINUS):
-        ridge = SWAPPED[sigma]
-        for omega in vs:
-            row_w = mat[omega]
-
-            def extend(path, used):
-                last = path[-1]
-                row_last = mat[last]
-                for u in vs:
-                    if u == omega or used >> u & 1:
-                        continue
-                    if row_last[u] != ridge:
-                        continue
-                    # u may touch no earlier path vertex except its predecessor
-                    if any(mat[u][p] for p in path[:-1]):
-                        continue
-                    wu = row_w[u]
-                    if len(path) >= 2 and wu == ABSENT:
-                        return MountainWitness(sigma, (*path, u), omega)
-                    if wu == sigma:
-                        found = extend((*path, u), used | 1 << u)
-                        if found is not None:
-                            return found
-                return None
-
-            for start in vs:
-                if start == omega or row_w[start] != ABSENT:
-                    continue
-                found = extend((start,), 1 << start | 1 << omega)
-                if found is not None:
-                    return found
+        for omega in g.vertices():
+            ends = adj[ABSENT][omega]
+            path = _ridge_path(adj, SWAPPED[sigma], 1 << omega, ends, adj[sigma][omega], ends, 2)
+            if path is not None:
+                return MountainWitness(sigma, path, omega)
     return None
 
 
@@ -347,43 +372,18 @@ def find_hill(g: EdgeBicoloredGraph):
     """Search for an induced hill: a path v_1..v_m (m >= 2) in one color with
     two hubs joined to each other and to overlapping path prefixes/suffixes in
     the other color; remaining pairs absent."""
-    mat = g.mat
-    vs = list(g.vertices())
+    adj = g.adjacency
     for sigma in (PLUS, MINUS):
-        ridge = SWAPPED[sigma]
-        for omega1, omega2 in itertools.permutations(vs, 2):
-            if mat[omega1][omega2] != sigma:
+        for omega1, omega2 in itertools.permutations(g.vertices(), 2):
+            spokes = adj[sigma][omega1]
+            if not spokes >> omega2 & 1:
                 continue
-            row1 = mat[omega1]
-            row2 = mat[omega2]
-
-            def extend(path, used):
-                last = path[-1]
-                row_last = mat[last]
-                for u in vs:
-                    if used >> u & 1:
-                        continue
-                    if row_last[u] != ridge or row2[u] != sigma:
-                        continue
-                    if any(mat[u][p] for p in path[:-1]):
-                        continue
-                    w1u = row1[u]
-                    if w1u == ABSENT:
-                        return HillWitness(sigma, (*path, u), omega1, omega2)
-                    if w1u == sigma:
-                        found = extend((*path, u), used | 1 << u)
-                        if found is not None:
-                            return found
-                return None
-
-            for start in vs:
-                if start in (omega1, omega2):
-                    continue
-                if row1[start] != sigma or row2[start] != ABSENT:
-                    continue
-                found = extend((start,), 1 << start | 1 << omega1 | 1 << omega2)
-                if found is not None:
-                    return found
+            beside2 = adj[sigma][omega2]
+            path = _ridge_path(adj, SWAPPED[sigma], 1 << omega1 | 1 << omega2,
+                               spokes & adj[ABSENT][omega2], spokes & beside2,
+                               adj[ABSENT][omega1] & beside2, 1)
+            if path is not None:
+                return HillWitness(sigma, path, omega1, omega2)
     return None
 
 
@@ -416,12 +416,8 @@ def structural_check(g: EdgeBicoloredGraph) -> StructuralReport:
 
 
 def structurally_eliminable(g: EdgeBicoloredGraph) -> bool:
-    """Short-circuit structural verdict (no witnesses collected)."""
-    return (is_chordal_one_color(g, PLUS)
-            and is_chordal_one_color(g, MINUS)
-            and find_bad_quadruple(g) is None
-            and find_mountain(g) is None
-            and find_hill(g) is None)
+    """The structural verdict alone."""
+    return structural_check(g).passes
 
 
 @dataclass(frozen=True)

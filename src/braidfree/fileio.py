@@ -76,7 +76,10 @@ def load_digraph(source) -> DirectedGraph:
 def load_spec(source, k=None, n=None) -> MultiBraidSpec:
     """Build a spec from a file, optionally overriding k and the shift list."""
     obj = _load_obj(source)
-    graph = load_graph(obj["graph"] if "graph" in obj else obj)
+    nested = obj.get("graph", obj)
+    if not isinstance(nested, dict):
+        raise InputError("'graph' must be a JSON object")
+    graph = load_graph(nested)
     if k is None:
         k = obj.get("k", 0)
     if n is None:

@@ -11,6 +11,7 @@ with the global Plus/Minus swap; this is exact and fast enough at desk scale
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
@@ -115,6 +116,18 @@ class EdgeBicoloredGraph:
     def minus_edges(self) -> list[tuple[int, int]]:
         return self.edges(MINUS)
 
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Bitmask adjacency: bit u of ``adjacency[c][v]`` is set when u != v
+        and the pair {v,u} has color code c (index 0 of each row is unused)."""
+        masks = [[0] * (self.n + 1) for _ in range(3)]
+        for v in self.vertices():
+            row = self.mat[v]
+            for u in range(v + 1, self.n + 1):
+                masks[row[u]][v] |= 1 << u
+                masks[row[u]][u] |= 1 << v
+        return tuple(map(tuple, masks))
+
     def edge_balance(self) -> int:
         """|E^+| - |E^-|."""
         d = self.digits()
@@ -179,6 +192,17 @@ def _pair_slot_maps(n: int) -> list[tuple[int, ...]]:
     return maps
 
 
+def _orbit(digits, maps, include_swap: bool) -> set:
+    """Every image of a digit string under the slot maps, composed with the
+    color swap when ``include_swap``.
+
+    The maps form a group, so reading ``var[m[t]]`` (the image under the
+    inverse relabeling) sweeps out the same set as writing ``img[m[t]]``.
+    """
+    variants = [digits, tuple(SWAPPED[c] for c in digits)] if include_swap else [digits]
+    return {tuple([var[i] for i in m]) for m in maps for var in variants}
+
+
 def canonical_key(g: EdgeBicoloredGraph, include_swap: bool = True) -> bytes:
     """Minimum serialization over all relabelings (and the color swap if set).
 
@@ -188,21 +212,7 @@ def canonical_key(g: EdgeBicoloredGraph, include_swap: bool = True) -> bytes:
     if g.n > MAX_CANONICAL_VERTICES:
         raise UnsupportedSizeError(
             f"canonicalization supports at most {MAX_CANONICAL_VERTICES} vertices")
-    digits = g.digits()
-    nslots = len(digits)
-    variants = [digits]
-    if include_swap:
-        variants.append(tuple(SWAPPED[c] for c in digits))
-    best = None
-    for m in _pair_slot_maps(g.n):
-        for var in variants:
-            img = [0] * nslots
-            for t in range(nslots):
-                img[m[t]] = var[t]
-            timg = tuple(img)
-            if best is None or timg < best:
-                best = timg
-    return bytes([g.n]) + bytes(best)
+    return bytes([g.n]) + bytes(min(_orbit(g.digits(), _pair_slot_maps(g.n), include_swap)))
 
 
 @dataclass(frozen=True)
@@ -233,16 +243,7 @@ def enumerate_classes(n: int, include_swap: bool = True) -> list[GraphClass]:
     for code, digits in enumerate(itertools.product((0, 1, 2), repeat=nslots)):
         if seen[code]:
             continue
-        orbit = set()
-        variants = [digits]
-        if include_swap:
-            variants.append(tuple(SWAPPED[c] for c in digits))
-        for m in maps:
-            for var in variants:
-                img = [0] * nslots
-                for t in range(nslots):
-                    img[m[t]] = var[t]
-                orbit.add(tuple(img))
+        orbit = _orbit(digits, maps, include_swap)
         best = min(orbit)
         for member in orbit:
             seen[sum(d * w for d, w in zip(member, weights))] = 1

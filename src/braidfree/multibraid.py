@@ -81,7 +81,7 @@ class Verdict:
     exponents: tuple[int, ...] | None
     ordering: Ordering | None
     tilde: tuple[int, ...] | None
-    witness: StructuralReport | None
+    structural: StructuralReport      # the graph's report, on every verdict
 
 
 def theorem_scope(spec: MultiBraidSpec) -> str | None:
@@ -98,16 +98,17 @@ def theorem_scope(spec: MultiBraidSpec) -> str | None:
 def classify(spec: MultiBraidSpec) -> Verdict:
     """Free with explicit exponents iff the graph is bicolor-eliminable;
     NonFree with a structural witness otherwise; OutOfTheoremScope when no
-    scope condition holds (no claim is made there)."""
+    scope condition holds (no claim is made there).  Every verdict carries
+    the graph's structural report."""
+    result = is_eliminable(spec.graph)
     cond = theorem_scope(spec)
     if cond is None:
-        return Verdict(OUT_OF_SCOPE, None, None, None, None, None)
-    result = is_eliminable(spec.graph)
+        return Verdict(OUT_OF_SCOPE, None, None, None, None, result.structural)
     if result.eliminable:
         degs = tilde_degrees(spec.graph, result.ordering)
         off = spec.exponent_offset
         exps = tuple(sorted([0] + [off + d for d in degs[1:]]))
-        return Verdict(FREE, cond, exps, result.ordering, degs, None)
+        return Verdict(FREE, cond, exps, result.ordering, degs, result.structural)
     return Verdict(NONFREE, cond, None, None, None, result.structural)
 
 
@@ -125,18 +126,19 @@ class CharPoly:
 
     roots: tuple[int, ...]
 
+    @classmethod
+    def of(cls, verdict: Verdict) -> "CharPoly":
+        """The factorization read off a Free verdict.  Refuses any other: no
+        factorization is claimed for non-free multiplicities."""
+        if verdict.status != FREE:
+            raise ValueError(
+                "characteristic polynomial factorization requires a free, in-scope spec")
+        return cls(tuple(sorted((0,) + verdict.exponents)))
+
 
 def char_poly(spec: MultiBraidSpec) -> CharPoly:
-    """Factored characteristic polynomial of a free, in-scope spec.
-
-    Refuses anything else: no factorization is claimed for non-free
-    multiplicities.
-    """
-    verdict = classify(spec)
-    if verdict.status != FREE:
-        raise ValueError(
-            "characteristic polynomial factorization requires a free, in-scope spec")
-    return CharPoly(tuple(sorted((0,) + verdict.exponents)))
+    """Factored characteristic polynomial of a free, in-scope spec."""
+    return CharPoly.of(classify(spec))
 
 
 def euler_restrict_spec(spec: MultiBraidSpec, edge) -> MultiBraidSpec:

@@ -2,7 +2,11 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import braidfree
 from braidfree.cli import main
 
 
@@ -60,6 +64,20 @@ def test_out_of_scope_is_exit_zero(tmp_path, capsys):
     rc, out = run(capsys, "classify", "--graph", write(tmp_path, "g.json", g))
     assert rc == 0
     assert json.loads(out)["result"]["status"] == "OutOfTheoremScope"
+
+
+def test_out_of_scope_reports_graph_eliminability(tmp_path, capsys):
+    # no scope condition holds at k = 0 with both colors present, but the
+    # path 1-2-3 is eliminable and the report says so
+    g = {"vertices": 3, "plus": [[1, 2]], "minus": [[2, 3]]}
+    rc, out = run(capsys, "classify", "--graph", write(tmp_path, "g.json", g), "--k", "0")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["status"] == "OutOfTheoremScope"
+    assert result["eliminable"] is True
+    assert result["structural"]["chordal_plus"] and result["structural"]["chordal_minus"]
+    assert result["ordering"] is None and result["tilde_degrees"] is None
+    assert result["exponents"] is None
 
 
 def test_census_four(capsys):
@@ -158,8 +176,12 @@ def test_malformed_files_exit_two(tmp_path, capsys):
 
 
 def test_internal_assertion_exits_three(tmp_path, capsys, monkeypatch):
-    import braidfree.cli as cli
-    monkeypatch.setattr(cli, "structurally_eliminable", lambda g: False)
+    import braidfree.eliminate as eliminate
+    real = eliminate.find_ordering
+    # the ordering route wrongly refuses 2-vertex graphs, which the
+    # structural route passes: is_eliminable must report the disagreement
+    monkeypatch.setattr(eliminate, "find_ordering",
+                        lambda g: None if g.n == 2 else real(g))
     rc, _ = run(capsys, "census", "--vertices", "2")
     assert rc == 3
 
@@ -199,3 +221,20 @@ def test_census_sampling_mode(capsys):
     result = json.loads(out)["result"]
     assert result["mode"] == "sampling"
     assert result["eliminable"] + result["non_eliminable"] == result["samples"]
+
+
+def _cli_process(argv, stdin):
+    env = {**os.environ, "PYTHONPATH": str(Path(braidfree.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "braidfree.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_spec_graph_field_must_be_an_object(tmp_path):
+    # run in a child process: a "graph" that reached open() would read the
+    # graph from stdin (0) or open and close stdout (true)
+    for graph in (0, True):
+        path = write(tmp_path, "s.json", {"k": 1, "graph": graph})
+        proc = _cli_process(["oracle", "--spec", path], stdin='{"vertices": 2}')
+        assert proc.returncode == 2, graph
+        assert proc.stdout == ""
+        assert proc.stderr == "error: 'graph' must be a JSON object\n"

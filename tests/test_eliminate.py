@@ -11,8 +11,9 @@ from braidfree import (EdgeBicoloredGraph, Ordering, color_swap,
                        is_eliminable, is_valid_ordering, iter_valid_orderings,
                        permute_graph, structural_check, structurally_eliminable,
                        tilde_degrees)
-from braidfree.eliminate import is_chordal_one_color
-from braidfree.graphs import MINUS, PLUS, enumerate_classes
+from braidfree.eliminate import (HillWitness, MountainWitness, find_bad_quadruple,
+                                 find_hill, find_mountain, is_chordal_one_color)
+from braidfree.graphs import ABSENT, MINUS, PLUS, SWAPPED, enumerate_classes
 
 MOUNTAIN = EdgeBicoloredGraph.from_edges(4, plus=[(2, 4)], minus=[(1, 2), (2, 3)])
 HILL = EdgeBicoloredGraph.from_edges(4, plus=[(3, 4), (1, 3), (2, 4)], minus=[(1, 2)])
@@ -154,6 +155,130 @@ def test_chordality_via_elimination():
     chorded = EdgeBicoloredGraph.from_edges(
         4, plus=[(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     assert is_chordal_one_color(chorded, PLUS)
+
+
+def _first_bad_quadruple(g):
+    # the definition the table lookup replaces
+    for quad in itertools.combinations(g.vertices(), 4):
+        if find_ordering(induced_subgraph(g, quad)) is None:
+            return quad
+    return None
+
+
+def test_bad_quadruple_table_matches_definition():
+    graphs = [c.representative for c in enumerate_classes(5)]
+    rng = random.Random(23)
+    graphs += [EdgeBicoloredGraph.from_digits(6, [rng.randrange(3) for _ in range(15)])
+               for _ in range(300)]
+    found = 0
+    for g in graphs:
+        want = _first_bad_quadruple(g)
+        assert find_bad_quadruple(g) == want, g.digits()
+        found += want is not None
+    assert 0 < found < len(graphs)
+
+
+def _has_long_induced_cycle(g, color):
+    # brute force: some ordered vertex cycle of length >= 4 whose consecutive
+    # pairs carry the color and whose other pairs do not
+    for size in range(4, g.n + 1):
+        for cyc in itertools.permutations(g.vertices(), size):
+            if cyc[0] != min(cyc):
+                continue
+            if all((g.mat[cyc[a]][cyc[b]] == color) == ((b - a) % size in (1, size - 1))
+                   for a, b in itertools.combinations(range(size), 2)):
+                return True
+    return False
+
+
+def test_chordality_matches_induced_cycles_on_five_vertices():
+    chordal = 0
+    for mask in range(1 << 10):
+        g = EdgeBicoloredGraph.from_digits(5, [PLUS if mask >> t & 1 else 0
+                                               for t in range(10)])
+        expect = not _has_long_induced_cycle(g, PLUS)
+        assert is_chordal_one_color(g, PLUS) == expect, mask
+        assert is_chordal_one_color(color_swap(g), MINUS) == expect
+        chordal += expect
+    assert 0 < chordal < 1 << 10
+
+
+def _reference_mountain(g):
+    # the search on color matrices that the bitmask ridge-path search replaces
+    mat = g.mat
+    vs = list(g.vertices())
+    for sigma in (PLUS, MINUS):
+        ridge = SWAPPED[sigma]
+        for omega in vs:
+            row_w = mat[omega]
+
+            def extend(path, used):
+                for u in vs:
+                    if u == omega or used >> u & 1 or mat[path[-1]][u] != ridge:
+                        continue
+                    if any(mat[u][p] for p in path[:-1]):
+                        continue
+                    if len(path) >= 2 and row_w[u] == ABSENT:
+                        return MountainWitness(sigma, (*path, u), omega)
+                    if row_w[u] == sigma:
+                        found = extend((*path, u), used | 1 << u)
+                        if found is not None:
+                            return found
+                return None
+
+            for start in vs:
+                if start != omega and row_w[start] == ABSENT:
+                    found = extend((start,), 1 << start | 1 << omega)
+                    if found is not None:
+                        return found
+    return None
+
+
+def _reference_hill(g):
+    mat = g.mat
+    vs = list(g.vertices())
+    for sigma in (PLUS, MINUS):
+        ridge = SWAPPED[sigma]
+        for omega1, omega2 in itertools.permutations(vs, 2):
+            if mat[omega1][omega2] != sigma:
+                continue
+            row1, row2 = mat[omega1], mat[omega2]
+
+            def extend(path, used):
+                for u in vs:
+                    if used >> u & 1 or mat[path[-1]][u] != ridge or row2[u] != sigma:
+                        continue
+                    if any(mat[u][p] for p in path[:-1]):
+                        continue
+                    if row1[u] == ABSENT:
+                        return HillWitness(sigma, (*path, u), omega1, omega2)
+                    if row1[u] == sigma:
+                        found = extend((*path, u), used | 1 << u)
+                        if found is not None:
+                            return found
+                return None
+
+            for start in vs:
+                if start not in (omega1, omega2) and row1[start] == sigma \
+                        and row2[start] == ABSENT:
+                    found = extend((start,), 1 << start | 1 << omega1 | 1 << omega2)
+                    if found is not None:
+                        return found
+    return None
+
+
+def test_mountain_and_hill_witnesses_match_reference_search():
+    graphs = [c.representative for c in enumerate_classes(5)]
+    rng = random.Random(29)
+    for n, count in ((6, 300), (7, 100)):
+        graphs += [EdgeBicoloredGraph.from_digits(
+            n, [rng.randrange(3) for _ in range(n * (n - 1) // 2)]) for _ in range(count)]
+    seen = set()
+    for g in graphs:
+        m, h = _reference_mountain(g), _reference_hill(g)
+        assert find_mountain(g) == m and find_hill(g) == h, g.digits()
+        seen.add((m is None, h is None))
+    assert len(seen) == 4
 
 
 def test_all_three_vertex_graphs_eliminable():

@@ -48,6 +48,13 @@ def test_load_spec_nested_and_flat(tmp_path):
         load_spec(nested, n=[1, 1])
 
 
+@pytest.mark.parametrize("graph", [["vertices", 3], "g.json", 3.5, None])
+def test_load_spec_nested_graph_must_be_an_object(tmp_path, graph):
+    (tmp_path / "g.json").write_text(json.dumps({"vertices": 3}))
+    with pytest.raises(InputError, match="'graph' must be a JSON object"):
+        load_spec(write(tmp_path, "s.json", {"k": 1, "graph": graph}))
+
+
 def test_load_digraph(tmp_path):
     g = load_digraph(write(tmp_path, "d.json", {"vertices": 3, "arcs": [[1, 2], [2, 1]]}))
     assert g.has_arc(1, 2) and g.has_arc(2, 1)

@@ -53,10 +53,27 @@ def test_classify_examples():
     cyc = EdgeBicoloredGraph.from_edges(4, plus=[(1, 2), (2, 3), (3, 4), (1, 4)])
     v = classify(spec(1, (0, 0, 0, 0), cyc))
     assert v.status == NONFREE
-    assert v.witness is not None and not v.witness.chordal_plus
+    assert v.structural is not None and not v.structural.chordal_plus
 
     out = classify(spec(0, (0, 0, 0), EdgeBicoloredGraph.from_edges(3, minus=[(1, 2)])))
     assert out.status == OUT_OF_SCOPE and out.exponents is None
+
+
+def test_every_verdict_carries_the_structural_report():
+    cyc = EdgeBicoloredGraph.from_edges(4, plus=[(1, 2), (2, 3), (3, 4), (1, 4)])
+    path = EdgeBicoloredGraph.from_edges(3, plus=[(1, 2)], minus=[(2, 3)])
+    cases = [(spec(0, (0, 0, 0, 0), K4_PLUS), FREE, True),
+             (spec(1, (0, 0, 0, 0), cyc), NONFREE, False),
+             (spec(0, (0, 0, 0, 0), cyc), NONFREE, False),
+             (spec(0, (0, 0, 0), path), OUT_OF_SCOPE, True),
+             (spec(0, (0, 0, 0), EdgeBicoloredGraph.from_edges(3, minus=[(1, 2)])),
+              OUT_OF_SCOPE, True)]
+    for s, status, passes in cases:
+        v = classify(s)
+        assert v.status == status
+        assert v.structural is not None and v.structural.passes is passes
+        if status == OUT_OF_SCOPE:
+            assert v.ordering is None and v.tilde is None and v.exponents is None
 
 
 def test_exponent_sum_identity_examples():
