@@ -21,7 +21,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .deform import DeformationSpec, deformation_verdict
-from .eliminate import complete_filtration, is_eliminable, tilde_degrees
+from .eliminate import complete_filtration, is_eliminable
 from .fileio import (InputError, digraph_to_obj, graph_to_obj, load_arrangement,
                      load_digraph, load_graph, load_spec, spec_to_obj)
 from .graphs import EdgeBicoloredGraph, UnsupportedSizeError, enumerate_classes
@@ -108,24 +108,22 @@ def cmd_classify(args) -> dict:
 def _census_row(payload) -> dict:
     key, digits, n, labeled, with_oracle, seed = payload
     graph = EdgeBicoloredGraph.from_digits(n, digits)
-    nu = is_eliminable(graph).ordering
+    spec = MultiBraidSpec(1, (0,) * n, graph)
+    verdict = classify(spec)       # k = 1 is in scope: Free iff eliminable
+    eliminable = verdict.status == FREE
     row = {
         "key": key,
         "graph": graph_to_obj(graph),
         "labeled_count": labeled,
-        "eliminable": nu is not None,
-        "tilde_degree_multiset": None,
+        "eliminable": eliminable,
+        "tilde_degree_multiset": sorted(verdict.tilde) if eliminable else None,
     }
-    if nu is not None:
-        row["tilde_degree_multiset"] = sorted(tilde_degrees(graph, nu))
     if with_oracle:
-        spec = MultiBraidSpec(1, (0,) * n, graph)
         cert = freeness_verdict(to_arrangement(spec), seed=seed)
         row["oracle"] = {
             "status": cert.status,
             "generator_degrees": list(cert.generator_degrees),
         }
-        verdict = classify(spec)
         row["classifier_status"] = verdict.status
         if verdict.status != cert.status:
             raise AssertionError("oracle disagrees with the classifier on a census class")

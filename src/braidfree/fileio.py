@@ -13,6 +13,7 @@ Pairs with equal endpoints and duplicated pairs are rejected.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from .graphs import DirectedGraph, EdgeBicoloredGraph, MINUS, PLUS
@@ -27,6 +28,8 @@ class InputError(ValueError):
 def _load_obj(source) -> dict:
     if isinstance(source, dict):
         return source
+    if not isinstance(source, (str, os.PathLike)):
+        raise InputError(f"expected a JSON object or a file path, got {source!r}")
     try:
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

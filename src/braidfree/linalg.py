@@ -8,7 +8,8 @@ whose lowest column has no pivot yet becomes a new primitive pivot row.  The
 same table gives the rank and, lazily, one right-kernel vector per free
 column by integer back-substitution.  Everything stays in arbitrary-precision
 integers, so ranks and kernels are certificates rather than numerical
-estimates.
+estimates.  No elimination runs in ``Fraction``: rationals enter only through
+``primitive``, which scales a rational vector to integers.
 """
 
 from __future__ import annotations
@@ -187,42 +188,3 @@ def primitive(vec) -> list[int]:
             break
     return ints
 
-
-def fraction_matrix_inverse(rows):
-    """Inverse of a small square matrix, exactly (Gauss-Jordan over Fractions)."""
-    n = len(rows)
-    aug = [[Fraction(rows[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def fraction_determinant(rows) -> Fraction:
-    """Determinant of a small square Fraction matrix by elimination."""
-    n = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det

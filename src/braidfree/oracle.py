@@ -12,8 +12,14 @@ numerical estimates.
 Internally a non-essential arrangement is reduced to its essential rank: the
 derivation module splits as (essential module tensored with the center
 polynomials) plus a free summand of center directions, which turns sweeps
-over braid-type arrangements from minutes into milliseconds.  All reported
-tables, generators and Saito checks are in the original ambient coordinates.
+over braid-type arrangements from minutes into milliseconds.  The essential
+coordinates are the pivot columns of one echelon table of the normals, so
+the essential normal of H is its restriction to those columns (braid normals
+x_i - x_j stay two-term).  Essential generators lift to ambient coordinates
+by an integer substitution, the center directions are the table's kernel
+vectors, and the Saito test ranks the generators' values at one integer
+point.  All reported tables, generators and Saito checks are in the original
+ambient coordinates, and the whole path is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 
 from .graphs import UnsupportedSizeError
-from .linalg import ReducedSpan, fraction_determinant, fraction_matrix_inverse, primitive
+from .linalg import ReducedSpan, primitive
 
 FREE = "Free"
 NONFREE = "NonFree"
@@ -84,12 +90,13 @@ class DerivationElement:
     components: tuple
 
     def evaluate(self, point) -> tuple:
-        """The coefficient vector (f_1(p), ..., f_n(p)) at a rational point."""
+        """The coefficient vector (f_1(p), ..., f_n(p)) at a point of ints or
+        Fractions."""
         out = []
         for comp in self.components:
-            total = Fraction(0)
+            total = 0
             for exp, coeff in comp.items():
-                term = Fraction(coeff)
+                term = coeff
                 for x, e in zip(point, exp):
                     if e:
                         term *= x ** e
@@ -319,112 +326,79 @@ def coordinate_derivations(n: int) -> list[DerivationElement]:
 
 @dataclass(frozen=True)
 class _EssentialForm:
-    rank: int
     ess: MultiArrangement
-    to_new: tuple      # Y, integer rows: y = Y x; first ``rank`` rows span the normals
-    to_old: tuple      # Y^{-1} as Fraction rows: x = Y^{-1} y
+    pivots: tuple      # pivot columns p_1 < ... < p_r of the normals' echelon table
+    forms: tuple       # integer rows b_t, y_t = b_t . x; D * normal = sum_t normal[p_t] * b_t
+    center: tuple      # kernel vectors k_c of the normals, one per free column c
 
 
 @lru_cache(maxsize=None)
 def _essential_form(a: MultiArrangement) -> _EssentialForm:
+    """Essential coordinates read off one echelon table of the normals.
+
+    Restriction to the pivot columns P is injective on the span of the
+    normals, so H has essential normal primitive(normal restricted to P).
+    The kernel vector k_c of a free column c is supported on {c} and P; with
+    D = lcm |k_c[c]| (``scale``), the integer forms b_t = D e_{p_t} - sum_c (D k_c[p_t] /
+    k_c[c]) e_c are orthogonal to every k_c and so span the normals.
+    """
     n = a.dim
     span = ReducedSpan(n, (normal for normal, _ in a.hyperplanes))
-    rank = span.rank
-    pivots = sorted(span.pivots)
-    basis = [tuple(span.pivots[p].get(c, 0) for c in range(n)) for p in pivots]
+    pivots = tuple(sorted(span.pivots))
+    free = [c for c in range(n) if c not in span.pivots]
+    center = tuple(tuple(k.get(i, 0) for i in range(n)) for k in span.kernel())
+    scale = lcm(*(abs(k[c]) for k, c in zip(center, free)))
+    forms = []
+    for p in pivots:
+        b = [0] * n
+        b[p] = scale
+        for k, c in zip(center, free):
+            b[c] = -(scale // k[c]) * k[p]
+        forms.append(tuple(b))
     ess_hyps = []
     for normal, mult in a.hyperplanes:
-        residual = [Fraction(x) for x in normal]
-        coeffs = []
-        for t in range(rank):
-            pc = pivots[t]
-            c = residual[pc] / basis[t][pc]
-            coeffs.append(c)
-            if c:
-                residual = [x - c * y for x, y in zip(residual, basis[t])]
-        if any(residual):
-            raise AssertionError("normal not in the span of the echelon basis")
+        coeffs = [normal[p] for p in pivots]
+        combo = [sum(x * b[i] for x, b in zip(coeffs, forms)) for i in range(n)]
+        if combo != [scale * x for x in normal]:
+            raise AssertionError("normal not in the span of the pivot forms")
         ess_hyps.append((tuple(primitive(coeffs)), mult))
-    ess = MultiArrangement(rank, tuple(ess_hyps))
-    pivot_set = set(pivots)
-    rows = list(basis)
-    for c in range(n):
-        if c not in pivot_set:
-            rows.append(tuple(int(i == c) for i in range(n)))
-    to_new = tuple(rows)
-    to_old = tuple(tuple(r) for r in fraction_matrix_inverse([list(r) for r in rows]))
-    return _EssentialForm(rank, ess, to_new, to_old)
+    ess = MultiArrangement(len(pivots), tuple(ess_hyps))
+    return _EssentialForm(ess, pivots, tuple(forms), center)
+
+
+def _compose(exp: tuple, forms: tuple, ambient: int) -> dict:
+    """The monomial y^exp under y_t = b_t . x, as a polynomial in x."""
+    out = {(0,) * ambient: 1}
+    for b, e in zip(forms, exp):
+        if e:
+            out = _poly_mul(out, _linear_form_power(b, e))
+    return out
 
 
 def _lift_elements(elements, form: _EssentialForm, ambient: int):
     """Express essential-coordinate derivations in the ambient coordinates.
 
-    If y = Y x, a derivation with y-components g has x-components
-    f_i = sum_t Yinv[i][t] * g_t(Y x); center directions lift to the constant
-    columns of Yinv.  Each lifted element is rescaled to primitive integers.
+    With y = B x for the forms b_t, the derivation sum_t g_t d/dy_t lifts, up
+    to the factor D, to sum_t g_t(B x) d/dx_{p_t}; the other components are
+    0.  Each lifted element is divided by its content.
     """
-    r = form.rank
     lifted = []
     for el in elements:
-        composed = []
-        for t in range(r):
-            poly: dict = {}
-            for exp, coeff in el.components[t].items():
-                term = {(0,) * ambient: coeff}
-                for var, e in enumerate(exp):
-                    if e:
-                        term = _poly_mul(term, _linear_form_power(form.to_new[var], e))
-                for key, v in term.items():
-                    w = poly.get(key, 0) + v
-                    if w:
-                        poly[key] = w
-                    elif key in poly:
-                        del poly[key]
-            composed.append(poly)
-        comps = []
-        for i in range(ambient):
-            acc: dict = {}
-            for t in range(r):
-                c = form.to_old[i][t]
-                if not c:
-                    continue
-                for e, v in composed[t].items():
-                    w = acc.get(e, Fraction(0)) + c * v
-                    if w:
-                        acc[e] = w
-                    elif e in acc:
-                        del acc[e]
-            comps.append(acc)
-        lifted.append(_rescale_element(el.degree, comps, ambient))
+        comps: list[dict] = [{} for _ in range(ambient)]
+        for g, p in zip(el.components, form.pivots):
+            comps[p] = _poly_combine([_compose(exp, form.forms, ambient) for exp in g],
+                                     g.values())
+        content = gcd(*(v for comp in comps for v in comp.values()))
+        if content > 1:
+            comps = [{e: v // content for e, v in comp.items()} for comp in comps]
+        lifted.append(DerivationElement(el.degree, tuple(comps)))
     return lifted
 
 
-def _center_elements(form: _EssentialForm, ambient: int):
-    out = []
-    one = (0,) * ambient
-    for t in range(form.rank, ambient):
-        comps = [{one: form.to_old[i][t]} if form.to_old[i][t] else {}
-                 for i in range(ambient)]
-        out.append(_rescale_element(0, comps, ambient))
-    return out
-
-
-def _rescale_element(degree: int, comps, ambient: int) -> DerivationElement:
-    denom = 1
-    for comp in comps:
-        for v in comp.values():
-            f = Fraction(v)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-    g = 0
-    ints = []
-    for comp in comps:
-        scaled = {e: int(Fraction(v) * denom) for e, v in comp.items()}
-        ints.append(scaled)
-        for v in scaled.values():
-            g = gcd(g, v)
-    if g > 1:
-        ints = [{e: v // g for e, v in comp.items()} for comp in ints]
-    return DerivationElement(degree, tuple(dict(c) for c in ints))
+def _center_elements(form: _EssentialForm):
+    """The center directions k_c as constant derivations."""
+    return [DerivationElement(0, tuple({(0,) * len(k): x} if x else {} for x in k))
+            for k in form.center]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +422,7 @@ def graded_dimension(a: MultiArrangement, d: int) -> int:
         return a.dim * _mono_count(a.dim, d)
     form = _essential_form(a)
     ess_dims = {e: _ess_graded(form.ess, e) for e in range(d + 1)}
-    return _lifted_dimension_table(ess_dims, a.dim - form.rank, a.dim)[d]
+    return _lifted_dimension_table(ess_dims, len(form.center), a.dim)[d]
 
 
 def _lifted_dimension_table(ess_dims: dict, center: int, ambient: int) -> dict:
@@ -510,7 +484,7 @@ def _scan_degree(ess: MultiArrangement, d: int, gens: list):
 
 def _random_point(a: MultiArrangement, rng: random.Random):
     for _ in range(500):
-        pt = tuple(Fraction(rng.randint(-19, 19)) for _ in range(a.dim))
+        pt = tuple(rng.randint(-19, 19) for _ in range(a.dim))
         if all(sum(c * x for c, x in zip(normal, pt)) for normal, _ in a.hyperplanes):
             return pt
     raise AssertionError("could not sample a point off the arrangement")
@@ -521,11 +495,12 @@ def _saito_determinant(a: MultiArrangement, gens, seed: int):
 
     For members of the module whose degrees sum to the multiplicity sum, the
     determinant is c times the product of the defining forms to their
-    multiplicities (Saito 1980; Ziegler 1989), so its value at one seeded
-    point off the arrangement is zero exactly when c is.
+    multiplicities (Saito 1980; Ziegler 1989), so at one seeded point off
+    the arrangement the evaluated coefficient rows have full rank exactly
+    when c is nonzero.
     """
     pt = _random_point(a, random.Random(seed))
-    return bool(fraction_determinant([gen.evaluate(pt) for gen in gens])), pt
+    return ReducedSpan(a.dim, [gen.evaluate(pt) for gen in gens]).rank == a.dim, pt
 
 
 def saito_check(a: MultiArrangement, gens, seed: int = 0) -> bool:
@@ -593,11 +568,11 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
             generator_degrees=(0,) * n,
             dimension_table={d: n * _mono_count(n, d) for d in range(budget + 1)},
             new_generator_table={0: n},
-            generators=gens, saito_point=tuple(Fraction(1) for _ in range(n)),
+            generators=gens, saito_point=(1,) * n,
             seed=seed, budget=budget)
 
     form = _essential_form(a)
-    center = n - form.rank
+    center = len(form.center)
     ess_dims: dict = {}
     new_table: dict = {}
     gens: list[DerivationElement] = []
@@ -624,7 +599,7 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
             if degsum > msum:
                 break
             if degsum == msum:
-                lifted = tuple(_center_elements(form, n) + _lift_elements(gens, form, n))
+                lifted = tuple(_center_elements(form) + _lift_elements(gens, form, n))
                 ok, saito_point = _saito_determinant(a, lifted, seed)
                 if ok:
                     status = FREE

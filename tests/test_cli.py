@@ -186,6 +186,23 @@ def test_internal_assertion_exits_three(tmp_path, capsys, monkeypatch):
     assert rc == 3
 
 
+def test_census_decides_each_class_once(capsys, monkeypatch):
+    import braidfree.cli as cli
+    import braidfree.multibraid as multibraid
+    real = multibraid.is_eliminable
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(multibraid, "is_eliminable", counted)
+    monkeypatch.setattr(cli, "is_eliminable", counted)
+    rc, out = run(capsys, "census", "--vertices", "3", "--oracle")
+    assert rc == 0
+    assert len(calls) == json.loads(out)["result"]["summary"]["classes"] == 6
+
+
 def _die_in_worker(payload):
     os._exit(1)
 

@@ -1,10 +1,15 @@
 """Input parsing: file formats, override precedence, and rejection rules."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import braidfree
 from braidfree.fileio import (InputError, load_arrangement, load_digraph,
                               load_graph, load_spec, parse_rational)
 
@@ -95,3 +100,23 @@ def test_missing_file_and_bad_json(tmp_path):
     path.write_text("[1,2]")
     with pytest.raises(InputError):
         load_graph(str(path))
+
+
+def test_source_must_be_a_path_or_an_object():
+    # run in a child process with stdin piped: a source that reached open()
+    # would read the graph from fd 0 and close it
+    code = ("import os\n"
+            "from braidfree.fileio import InputError, load_graph\n"
+            "try:\n"
+            "    load_graph(0)\n"
+            "except InputError as exc:\n"
+            "    print('refused:', exc)\n"
+            "os.fstat(0)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(braidfree.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], input='{"vertices": 2}',
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: expected a JSON object or a file path, got 0\n"
+    for source in (None, 3.5, ["g.json"]):
+        with pytest.raises(InputError):
+            load_graph(source)

@@ -1,14 +1,11 @@
 """Fraction-free elimination against a plain Fraction-arithmetic oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
-from braidfree import MultiArrangement, freeness_verdict, graded_dimension
-from braidfree.linalg import (ReducedSpan, fraction_determinant,
-                              fraction_matrix_inverse, nullspace, primitive,
-                              rank_of)
+from braidfree import MultiArrangement, freeness_verdict, graded_dimension, saito_check
+from braidfree.linalg import ReducedSpan, nullspace, primitive, rank_of
 from braidfree.oracle import FREE, NONFREE, _assemble
 
 
@@ -75,20 +72,55 @@ def random_arrangement(rng, dim):
     return MultiArrangement(dim, tuple(normals.items()))
 
 
+def centered_arrangement(rng, dim):
+    """Normals orthogonal to a center vector w whose last entry is 2 or 3, so
+    the center's kernel vector has a non-unit entry at its free column."""
+    while True:
+        w = [rng.randint(-1, 1) for _ in range(dim - 1)] + [rng.choice((-3, -2, 2, 3))]
+        if primitive(w) == w and any(w[:-1]):
+            break
+    candidates = sorted({tuple(primitive(v)) for v in itertools.product(range(-3, 4), repeat=dim)
+                         if any(v) and sum(a * b for a, b in zip(v, w)) == 0})
+    while True:
+        normals = rng.sample(candidates, rng.randint(dim - 1, min(dim + 1, len(candidates))))
+        if rank_of(normals, dim) == dim - 1:
+            return MultiArrangement(dim, tuple((v, rng.randint(1, 2)) for v in normals))
+
+
+# Free, degrees (0, 2, 2); the center (1, 0, -2) has entry -2 at free column 2
+SCALED_CENTER = MultiArrangement(3, (((2, 0, 1), 2), ((0, 1, 0), 1), ((2, 1, 1), 1)))
+
+
 def test_graded_dimension_matches_dense_fraction_rank():
     # graded_dimension eliminates the essential arrangement and lifts the
-    # center; the reference ranks the ambient constraint matrix in Fractions
+    # center; the reference ranks the ambient constraint matrix in Fractions.
+    # Free certificates must pass saito_check with integers throughout.
     rng = random.Random(7)
+    cases = [(random_arrangement(rng, dim), top) for dim, top in ((3, 4), (4, 3))
+             for _ in range(10)]
+    centered = [(centered_arrangement(rng, dim), top) for dim, top in ((3, 4), (4, 3))
+                for _ in range(4)] + [(SCALED_CENTER, 4)]
+    for arr, _ in centered:
+        (center,) = ReducedSpan(arr.dim, [v for v, _ in arr.hyperplanes]).kernel()
+        assert abs(center[arr.dim - 1]) > 1
+    cases += centered
     statuses = set()
-    for dim, top in ((3, 4), (4, 3)):
-        for _ in range(10):
-            arr = random_arrangement(rng, dim)
-            statuses.add(freeness_verdict(arr).status)
-            for d in range(top):
-                rows, cols = _assemble(arr, d)
-                dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
-                assert graded_dimension(arr, d) == cols - fraction_rank(dense, cols)
+    for arr, top in cases:
+        cert = freeness_verdict(arr)
+        statuses.add(cert.status)
+        if cert.status == FREE:
+            assert saito_check(arr, cert.generators, seed=cert.seed)
+            assert all(type(x) is int for x in cert.saito_point)
+            assert all(type(c) is int for gen in cert.generators
+                       for comp in gen.components for c in comp.values())
+        for d in range(top):
+            rows, cols = _assemble(arr, d)
+            dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
+            assert graded_dimension(arr, d) == cols - fraction_rank(dense, cols)
     assert {FREE, NONFREE} <= statuses
+    cert = freeness_verdict(SCALED_CENTER)
+    assert cert.status == FREE and cert.generator_degrees == (0, 2, 2)
+    assert cert.dimension_table == {0: 1, 1: 3, 2: 8}
 
 
 def test_primitive():
@@ -96,12 +128,3 @@ def test_primitive():
     assert primitive([-4, 6]) == [2, -3]
     assert primitive([0, 0]) == [0, 0]
 
-
-def test_matrix_inverse_and_determinant():
-    m = [[1, 2], [3, 5]]
-    inv = fraction_matrix_inverse(m)
-    assert inv == [[Fraction(-5), Fraction(2)], [Fraction(3), Fraction(-1)]]
-    assert fraction_determinant(m) == -1
-    assert fraction_determinant([[1, 2], [2, 4]]) == 0
-    with pytest.raises(ValueError):
-        fraction_matrix_inverse([[1, 2], [2, 4]])

@@ -188,3 +188,32 @@ def test_dimension_table_invariant_under_reordering(pair):
     b = minimal_generators(MultiArrangement(3, tuple(shuffled)), budget=4)
     assert a.dimension_table == b.dimension_table
     assert a.generator_degrees == b.generator_degrees
+
+
+def unimodular(ops, perm):
+    """The permutation matrix of ``perm`` after column operations
+    col_j += c * col_i, one per (i, j, c) in ``ops``; determinant +-1."""
+    u = [[int(perm[i] == j) for j in range(3)] for i in range(3)]
+    for i, j, c in ops:
+        if i != j:
+            for row in u:
+                row[j] += c * row[i]
+    return u
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(NORMALS3), st.integers(1, 2)),
+                min_size=1, max_size=5, unique_by=lambda h: h[0]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from((-1, 1, 2))),
+                max_size=4),
+       st.permutations(range(3)))
+def test_certificate_invariant_under_unimodular_coordinates(hyps, ops, perm):
+    # normal -> normal . U moves the pivot columns and the center vector (and
+    # so the scale D of the essential forms) but not the module's invariants
+    u = unimodular(ops, perm)
+    moved = [([sum(v[i] * u[i][j] for i in range(3)) for j in range(3)], m) for v, m in hyps]
+    a = freeness_verdict(MultiArrangement(3, tuple(hyps)), budget=5)
+    b = freeness_verdict(MultiArrangement.build(3, moved), budget=5)
+    assert (a.status, a.note, a.generator_degrees) == (b.status, b.note, b.generator_degrees)
+    assert a.dimension_table == b.dimension_table
+    assert a.new_generator_table == b.new_generator_table
