@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -131,13 +132,16 @@ def _census_row(payload) -> dict:
 
 
 def cmd_census(args) -> dict:
+    if args.jobs < 1:
+        raise InputError("--jobs must be at least 1")
     include_swap = not args.no_swap
     if args.vertices <= 5:
         classes = enumerate_classes(args.vertices, include_swap=include_swap)
         payloads = [(c.canonical_key.hex(), c.representative.digits(), args.vertices,
                      c.labeled_count, args.oracle, args.seed) for c in classes]
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_census_row, payloads, chunksize=4))
         else:
             rows = [_census_row(p) for p in payloads]
@@ -238,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the oracle's evaluation-point stream")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for census sweeps")
+                        help="worker processes for census sweeps (at most one per CPU)")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 

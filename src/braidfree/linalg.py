@@ -21,7 +21,7 @@ from math import gcd
 
 
 def _sparse(vec) -> dict:
-    """A fresh ``{column: value}`` copy of a dense or sparse row."""
+    """A new ``{column: value}`` copy of a dense or sparse row."""
     if isinstance(vec, dict):
         return dict(vec)
     return {c: v for c, v in enumerate(vec) if v}
@@ -155,16 +155,6 @@ class ReducedSpan:
                         queued.add(q)
                         heappush(todo, -q)
             yield _primitive_sparse(x)
-
-
-def rank_of(rows, ncols: int) -> int:
-    return ReducedSpan(ncols, rows).rank
-
-
-def nullspace(rows, ncols: int) -> list[list[int]]:
-    """A primitive integer basis of the right kernel {x : rows @ x = 0}, as
-    dense rows, one per free column."""
-    return [[x.get(c, 0) for c in range(ncols)] for x in ReducedSpan(ncols, rows).kernel()]
 
 
 def primitive(vec) -> list[int]:

@@ -23,8 +23,7 @@ from .eliminate import (Ordering, StructuralReport, is_eliminable,
                         tilde_degrees)
 from .graphs import (MINUS, PLUS, EdgeBicoloredGraph, UnsupportedSizeError,
                      color_swap, induced_subgraph, pair_list)
-from .oracle import (FREE, NONFREE, MultiArrangement, euler_restriction_degree,
-                     rank2_oracle_exponents)
+from .oracle import FREE, NONFREE, MultiArrangement, rank2_oracle_exponents
 
 OUT_OF_SCOPE = "OutOfTheoremScope"
 
@@ -163,9 +162,11 @@ def euler_multiplicity(mults, m0: int) -> int:
 
     ``mults`` is the multiset of multiplicities of the hyperplanes through
     the flat; ``m0`` is the one on the restricting hyperplane.  The first
-    applicable combinatorial case decides; if none does, the rank-2 kernel
-    computation finds the degree of the basis generator lying outside
-    alpha_H0 times the derivations.
+    applicable combinatorial case decides.  Every flat of 2 or 3 hyperplanes
+    meets one: with 3, when the rules on 2*m0 and 2*m1 fail, 2*m0 < total
+    and 2*m1 < total - 1, so the last rule applies.  A larger flat that no
+    case covers is refused.  ``oracle.euler_restriction_degree`` finds the
+    same degree from the rank-2 basis and is the tests' reference.
     """
     mults = sorted(mults, reverse=True)
     if len(mults) < 2:
@@ -189,9 +190,10 @@ def euler_multiplicity(mults, m0: int) -> int:
         return total - count + 1
     if all(m == 2 for m in mults):
         return count
-    if count == 3 and 2 * m0 <= total and 2 * m1 <= total:
+    if count == 3:
         return total // 2
-    return euler_restriction_degree(m0, others)
+    raise UnsupportedSizeError(
+        f"no closed-form Euler multiplicity for a flat of {count} hyperplanes")
 
 
 def rank2_exponents(mults) -> tuple[int, int]:

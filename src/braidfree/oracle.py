@@ -20,6 +20,11 @@ by an integer substitution, the center directions are the table's kernel
 vectors, and the Saito test ranks the generators' values at one integer
 point.  All reported tables, generators and Saito checks are in the original
 ambient coordinates, and the whole path is integer arithmetic.
+
+One per-degree scan computes every graded piece: ``graded_dimension``,
+``minimal_generators`` and ``freeness_verdict`` all read its tables, and the
+rank-2 routines at the end, the tests' reference for the closed forms in
+``multibraid``, read their exponents off one certified basis.
 """
 
 from __future__ import annotations
@@ -332,7 +337,6 @@ class _EssentialForm:
     center: tuple      # kernel vectors k_c of the normals, one per free column c
 
 
-@lru_cache(maxsize=None)
 def _essential_form(a: MultiArrangement) -> _EssentialForm:
     """Essential coordinates read off one echelon table of the normals.
 
@@ -402,28 +406,7 @@ def _center_elements(form: _EssentialForm):
 
 
 # ---------------------------------------------------------------------------
-# graded dimensions
-
-@lru_cache(maxsize=None)
-def _ess_graded(ess: MultiArrangement, d: int) -> int:
-    rows, cols = _assemble(ess, d)
-    return cols - ReducedSpan(cols, rows).rank
-
-
-def graded_dimension(a: MultiArrangement, d: int) -> int:
-    """Dimension of the degree-d layer of the logarithmic derivation module."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if a.dim > MAX_AMBIENT_DIM:
-        raise UnsupportedSizeError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
-    if a.dim * _mono_count(a.dim, d) > _MAX_UNKNOWNS:
-        raise UnsupportedSizeError("degree exceeds the desk-scale budget")
-    if not a.hyperplanes:
-        return a.dim * _mono_count(a.dim, d)
-    form = _essential_form(a)
-    ess_dims = {e: _ess_graded(form.ess, e) for e in range(d + 1)}
-    return _lifted_dimension_table(ess_dims, len(form.center), a.dim)[d]
-
+# generator scan: the one place where graded pieces are computed
 
 def _lifted_dimension_table(ess_dims: dict, center: int, ambient: int) -> dict:
     table = {}
@@ -436,9 +419,6 @@ def _lifted_dimension_table(ess_dims: dict, center: int, ambient: int) -> dict:
         table[d] = total
     return table
 
-
-# ---------------------------------------------------------------------------
-# generator scan
 
 def _check_kernel_vector(rows, vec: dict, cols: int) -> None:
     """Raise unless every constraint row annihilates ``vec`` exactly."""
@@ -530,6 +510,12 @@ def saito_check(a: MultiArrangement, gens, seed: int = 0) -> bool:
     return ok
 
 
+def graded_dimension(a: MultiArrangement, d: int) -> int:
+    """Dimension of the degree-d layer of the logarithmic derivation module,
+    read off the generator scan up to degree d."""
+    return minimal_generators(a, budget=d).dimension_table[d]
+
+
 def minimal_generators(a: MultiArrangement, budget: int | None = None) -> FreenessCertificate:
     """Minimal-generator table of the derivation module up to ``budget``.
 
@@ -561,6 +547,8 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
     msum = a.multiplicity_sum
     if budget is None:
         budget = msum
+    if budget < 0:
+        raise ValueError("degree budget must be non-negative")
     if not a.hyperplanes:
         gens = tuple(coordinate_derivations(n))
         return FreenessCertificate(
@@ -582,20 +570,19 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
     note = None
     saito_point = None
     lifted = None
-    fresh = True
     for d in range(budget + 1):
         dim_d, n_new = _scan_degree(form.ess, d, gens)
         ess_dims[d] = dim_d
         new_table[d] = n_new + (center if d == 0 else 0)
         count += n_new
         degsum += n_new * d
-        fresh = fresh or n_new > 0
         if not want_verdict:
             continue
         if count > n:
             break
-        if count == n and fresh:
-            fresh = False
+        # count first reaches n in a degree that found generators, and any
+        # later generator takes it past n, so each candidate is tested once
+        if count == n and n_new:
             if degsum > msum:
                 break
             if degsum == msum:
@@ -638,28 +625,33 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# rank-2 service routines (used as the independent oracle for closed forms)
+# rank-2 routines: the tests' reference for the closed forms in multibraid
 
 def _lines(count: int):
     return ((1, 0), (0, 1), (1, -1))[:count]
 
 
-def rank2_oracle_exponents(mults) -> tuple[int, int]:
-    """Exponents of 2 or 3 concurrent lines with the given multiplicities,
-    straight from the graded kernels.  Any such multiarrangement is free, and
+def _rank2_basis(mults) -> list:
+    """The certified basis of 2 or 3 concurrent lines with the given
+    multiplicities, sorted by degree.  Any such multiarrangement is free, and
     3 distinct concurrent lines are linearly equivalent to any other 3, so
-    only the multiplicities matter."""
+    only the multiplicities matter; the first line is x = 0."""
     mults = list(mults)
     if len(mults) not in (2, 3):
         raise UnsupportedSizeError("rank-2 oracle handles 2 or 3 lines")
     if any(m < 1 for m in mults):
         raise ValueError("multiplicities must be positive")
-    arr = MultiArrangement(2, tuple(zip(_lines(len(mults)), mults)))
-    cert = freeness_verdict(arr)
+    cert = freeness_verdict(MultiArrangement(2, tuple(zip(_lines(len(mults)), mults))))
     if cert.status != FREE:
         raise AssertionError("rank-2 multiarrangement did not certify free")
-    d1, d2 = sorted(cert.generator_degrees, reverse=True)
-    return d1, d2
+    return sorted(cert.generators, key=lambda g: g.degree)
+
+
+def rank2_oracle_exponents(mults) -> tuple[int, int]:
+    """Exponents (d1 >= d2) of 2 or 3 concurrent lines with the given
+    multiplicities, straight from the graded kernels."""
+    low, high = _rank2_basis(mults)
+    return high.degree, low.degree
 
 
 def euler_restriction_degree(m0: int, others) -> int:
@@ -667,21 +659,13 @@ def euler_restriction_degree(m0: int, others) -> int:
 
     The distinguished line H0 carries multiplicity m0; the basis of the
     rank-2 module splits into one generator inside alpha_H0 * Der and one
-    outside, whose degree is the Euler restriction multiplicity.
+    outside, whose degree is the Euler restriction multiplicity.  Below the
+    top degree the layer is spanned by the low generator alone, so the low
+    degree is the answer unless alpha_H0 divides that generator.
     """
-    others = list(others)
-    mults = [m0] + others
-    if len(mults) not in (2, 3):
-        raise UnsupportedSizeError("Euler fallback handles 2 or 3 lines")
-    arr = MultiArrangement(2, tuple(zip(_lines(len(mults)), mults)))
-    d2, d1 = rank2_oracle_exponents(mults)   # d1 <= d2
-    if d1 == d2:
-        return d1
-    rows, cols = _assemble(arr, d1)
-    alpha0 = arr.hyperplanes[0][0]
-    for vec in ReducedSpan(cols, rows).kernel():
-        el = _element_from_flat(vec, 2, d1)
-        if not all(_poly_vanishes_mod_power(comp, alpha0, 1)
-                   for comp in el.components):
-            return d1
-    return d2
+    low, high = _rank2_basis([m0, *others])
+    alpha0 = _lines(1)[0]
+    if low.degree < high.degree and all(
+            _poly_vanishes_mod_power(comp, alpha0, 1) for comp in low.components):
+        return high.degree
+    return low.degree

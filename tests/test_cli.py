@@ -216,6 +216,53 @@ def test_dead_census_worker_exits_three(capsys, monkeypatch):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_census_pool_is_bounded(capsys, monkeypatch):
+    import braidfree.cli as cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    rc, out = run(capsys, "--jobs", str(10 ** 6), "census", "--vertices", "3")
+    assert rc == 0
+    classes = json.loads(out)["result"]["summary"]["classes"]
+    (size,) = _SerialPool.sizes
+    assert 1 <= size <= min(os.cpu_count() or 1, classes)
+
+
+def test_census_jobs_below_one_exits_two(capsys):
+    for jobs in ("0", "-3"):
+        rc = main(["--jobs", jobs, "census", "--vertices", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: --jobs must be at least 1\n"
+
+
+def test_oracle_negative_budget_exits_two(tmp_path, capsys):
+    spec = {"k": 1, "n": [0, 0, 0], "graph": EDGELESS3}
+    arrangement = {"dim": 2, "hyperplanes": [{"normal": [1, 0], "mult": 2}]}
+    for flag, obj in (("--spec", spec), ("--arrangement", arrangement)):
+        rc = main(["oracle", flag, write(tmp_path, "in.json", obj), "--budget", "-1"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     spec = {"k": 1, "n": [0, 0, 0], "graph": EDGELESS3}
     path = write(tmp_path, "s.json", spec)

@@ -1,0 +1,38 @@
+"""Default reports compared byte for byte with stored golden reports."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from braidfree.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_GOLDEN = ROOT / "perfbench" / "golden"
+GOLDEN = ROOT / "tests" / "golden"
+
+# the 5-vertex k=2 spec Plus 12, 13; Minus 34 that perfbench's oracle-deep runs
+SPEC_K2 = {"k": 2, "n": [0, 0, 0, 0, 0],
+           "graph": {"vertices": 5, "plus": [[1, 2], [1, 3]], "minus": [[3, 4]]}}
+
+
+def stdout_of(capsys, argv):
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["census", "--vertices", "5"], BENCH_GOLDEN / "census5.json"),
+    (["census", "--vertices", "4", "--oracle"], GOLDEN / "census4_oracle.json"),
+])
+def test_census_matches_golden(capsys, argv, golden):
+    assert stdout_of(capsys, argv) == golden.read_text(encoding="utf-8")
+
+
+def test_spec_oracle_matches_golden(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_K2), encoding="utf-8")
+    out = stdout_of(capsys, ["--seed", "0", "oracle", "--spec", str(path), "--budget", "10"])
+    assert out == (BENCH_GOLDEN / "spec_k2_budget10.json").read_text(encoding="utf-8")

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from braidfree import MultiArrangement, freeness_verdict, graded_dimension, saito_check
-from braidfree.linalg import ReducedSpan, nullspace, primitive, rank_of
+from braidfree.linalg import ReducedSpan, primitive
 from braidfree.oracle import FREE, NONFREE, _assemble
 
 
@@ -46,9 +46,10 @@ def fuzz_matrices(rng):
 def test_rank_nullspace_span_fuzz():
     rng = random.Random(42)
     for rows, nc in fuzz_matrices(rng):
-        rank = rank_of(rows, nc)
+        table = ReducedSpan(nc, rows)
+        rank = table.rank
         assert rank == fraction_rank(rows, nc)
-        basis = nullspace(rows, nc)
+        basis = [[x.get(c, 0) for c in range(nc)] for x in table.kernel()]
         assert len(basis) == nc - rank
         assert fraction_rank(basis, nc) == len(basis)
         for v in basis:
@@ -83,7 +84,7 @@ def centered_arrangement(rng, dim):
                          if any(v) and sum(a * b for a, b in zip(v, w)) == 0})
     while True:
         normals = rng.sample(candidates, rng.randint(dim - 1, min(dim + 1, len(candidates))))
-        if rank_of(normals, dim) == dim - 1:
+        if ReducedSpan(dim, normals).rank == dim - 1:
             return MultiArrangement(dim, tuple((v, rng.randint(1, 2)) for v in normals))
 
 

@@ -154,6 +154,8 @@ def test_euler_multiplicity_cases():
         euler_multiplicity([2, 2], 3)
     with pytest.raises(ValueError):
         euler_multiplicity([2], 2)
+    with pytest.raises(UnsupportedSizeError):
+        euler_multiplicity([3, 3, 3, 3], 3)
 
 
 def test_euler_multiplicity_matches_kernel_oracle():

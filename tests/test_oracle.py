@@ -63,6 +63,14 @@ def test_graded_dimension_guards():
         graded_dimension(MultiArrangement(6, (((1, -1, 0, 0, 0, 0), 1),)), 0)
 
 
+def test_negative_budget_is_refused():
+    for a in (BRAID3, MultiArrangement(3, ())):
+        with pytest.raises(ValueError):
+            freeness_verdict(a, budget=-1)
+        with pytest.raises(ValueError):
+            minimal_generators(a, budget=-1)
+
+
 def test_minimal_generators_examples():
     empty = MultiArrangement(3, ())
     cert = minimal_generators(empty)
