@@ -4,7 +4,8 @@ Reports are JSON objects with a stable schema (command, inputs, result,
 tool_version, seed) and are byte-identical across runs with the same inputs
 and seed; ``--format table`` renders a human-readable view instead.
 
-Exit codes: 0 for any mathematical verdict, 2 for input errors, 3 for an
+Exit codes: 0 for any mathematical verdict, 2 for input errors and for a
+report that cannot be written (a closed pipe, a full device), 3 for an
 internal failure (a bug, e.g. the two eliminability routes disagreeing, or a
 ``--jobs`` worker process dying).
 """
@@ -290,10 +291,20 @@ def main(argv=None) -> int:
         "seed": args.seed,
         **body,
     }
-    if args.format == "table":
-        _render_table(report, sys.stdout)
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        if args.format == "table":
+            _render_table(report, sys.stdout)
+        else:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full device: point stdout at the null device so
+        # the flush at interpreter exit has nothing left to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

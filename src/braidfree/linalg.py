@@ -10,6 +10,15 @@ column by integer back-substitution.  Everything stays in arbitrary-precision
 integers, so ranks and kernels are certificates rather than numerical
 estimates.  No elimination runs in ``Fraction``: rationals enter only through
 ``primitive``, which scales a rational vector to integers.
+
+A batch of rows is inserted sparsest first, and a row with a single entry
+forces its column to zero, so that column is deleted from every later row of
+the batch before the row is reduced (a row left empty is skipped).  Reducing
+against a one-entry pivot row does exactly that deletion, so the row space,
+the pivot columns and the kernel vectors are those of inserting the rows one
+by one; only the pivot table is sparser.  This matters for the oracle: in
+its essential coordinates a braid hyperplane x_i - x_n becomes a coordinate
+hyperplane, and each of its constraint rows has one entry.
 """
 
 from __future__ import annotations
@@ -43,8 +52,9 @@ class ReducedSpan:
 
     ``pivots`` maps each pivot column to the primitive row whose lowest
     column it is.  Rows may be dense sequences or ``{column: int}`` dicts.
-    The constructor eliminates a whole batch of rows (sparsest first),
-    ``insert`` adds one more, and ``kernel`` yields the right kernel of
+    The constructor eliminates a whole batch of rows (sparsest first,
+    dropping the columns that single-entry rows force to zero), ``insert``
+    adds one more, and ``kernel`` yields the right kernel of
     everything inserted so far.  When a row being reduced is sparser than
     the pivot row at its lowest column, the two trade places, which keeps
     the table sparse.
@@ -53,7 +63,14 @@ class ReducedSpan:
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.pivots: dict[int, dict] = {}
+        dead = set()            # columns that a single-entry row forces to zero
         for row in sorted(map(_sparse, rows), key=len):
+            for c in dead.intersection(row):
+                del row[c]
+            if len(row) == 1:
+                dead.update(row)
+            elif not row:
+                continue
             self._insert(row)
 
     @property

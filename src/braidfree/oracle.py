@@ -15,11 +15,15 @@ polynomials) plus a free summand of center directions, which turns sweeps
 over braid-type arrangements from minutes into milliseconds.  The essential
 coordinates are the pivot columns of one echelon table of the normals, so
 the essential normal of H is its restriction to those columns (braid normals
-x_i - x_j stay two-term).  Essential generators lift to ambient coordinates
-by an integer substitution, the center directions are the table's kernel
-vectors, and the Saito test ranks the generators' values at one integer
-point.  All reported tables, generators and Saito checks are in the original
-ambient coordinates, and the whole path is integer arithmetic.
+x_i - x_j stay two-term), and the center directions are the table's kernel
+vectors.  The Saito test of a candidate basis lifts nothing: at one seeded
+integer point p it evaluates the essential generators at y = B p (the rows
+b_t of B are the essential coordinate forms), places the values at the pivot
+columns and adds the center vectors, and ranks those rows.  A Free
+certificate keeps its essential basis; its ambient generators are lifted by
+an integer substitution when first read.  All reported tables, generators
+and Saito checks are in the original ambient coordinates, and the whole path
+is integer arithmetic.
 
 One per-degree scan computes every graded piece: ``graded_dimension``,
 ``minimal_generators`` and ``freeness_verdict`` all read its tables, and the
@@ -30,7 +34,7 @@ rank-2 routines at the end, the tests' reference for the closed forms in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -112,7 +116,12 @@ class DerivationElement:
 
 @dataclass
 class FreenessCertificate:
-    """Outcome of a freeness computation with everything needed to audit it."""
+    """Outcome of a freeness computation with everything needed to audit it.
+
+    A Free certificate keeps its basis in essential coordinates
+    (``essential_form`` and ``essential_generators``); ``generators`` lifts
+    it to the ambient coordinates on first read and keeps the result.
+    """
 
     status: str
     ambient_dim: int
@@ -120,11 +129,23 @@ class FreenessCertificate:
     generator_degrees: tuple[int, ...]
     dimension_table: dict
     new_generator_table: dict
-    generators: tuple | None
     saito_point: tuple | None
     seed: int
     budget: int
     note: str | None = None
+    essential_form: _EssentialForm | None = field(default=None, repr=False)
+    essential_generators: tuple | None = field(default=None, repr=False)
+    _generators: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def generators(self) -> tuple | None:
+        """The certified basis in ambient coordinates (None unless Free)."""
+        form = self.essential_form
+        if self._generators is None and form is not None:
+            self._generators = tuple(
+                _center_elements(form)
+                + _lift_elements(self.essential_generators, form, self.ambient_dim))
+        return self._generators
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +352,7 @@ def coordinate_derivations(n: int) -> list[DerivationElement]:
 
 @dataclass(frozen=True)
 class _EssentialForm:
-    ess: MultiArrangement
+    ess: MultiArrangement | None   # None when there are no hyperplanes
     pivots: tuple      # pivot columns p_1 < ... < p_r of the normals' echelon table
     forms: tuple       # integer rows b_t, y_t = b_t . x; D * normal = sum_t normal[p_t] * b_t
     center: tuple      # kernel vectors k_c of the normals, one per free column c
@@ -366,7 +387,7 @@ def _essential_form(a: MultiArrangement) -> _EssentialForm:
         if combo != [scale * x for x in normal]:
             raise AssertionError("normal not in the span of the pivot forms")
         ess_hyps.append((tuple(primitive(coeffs)), mult))
-    ess = MultiArrangement(len(pivots), tuple(ess_hyps))
+    ess = MultiArrangement(len(pivots), tuple(ess_hyps)) if pivots else None
     return _EssentialForm(ess, pivots, tuple(forms), center)
 
 
@@ -470,17 +491,25 @@ def _random_point(a: MultiArrangement, rng: random.Random):
     raise AssertionError("could not sample a point off the arrangement")
 
 
-def _saito_determinant(a: MultiArrangement, gens, seed: int):
-    """(nonzero?, evaluation point) for the coefficient determinant of ``gens``.
+def _essential_saito(a: MultiArrangement, form: _EssentialForm, gens, seed: int):
+    """(nonzero?, evaluation point) for the coefficient determinant of the
+    lifted basis, computed without lifting it.
 
     For members of the module whose degrees sum to the multiplicity sum, the
     determinant is c times the product of the defining forms to their
-    multiplicities (Saito 1980; Ziegler 1989), so at one seeded point off
-    the arrangement the evaluated coefficient rows have full rank exactly
-    when c is nonzero.
+    multiplicities (Saito 1980; Ziegler 1989), so at one seeded point p off
+    the arrangement the coefficient rows have full rank exactly when c is
+    nonzero.  The lift of an essential generator has g_t(B x) / content at
+    the pivot column p_t and 0 elsewhere, so its row at p is a nonzero
+    multiple of the generator's values at y = B p placed at the pivot
+    columns; the center directions k_c are constant.  ``saito_check`` ranks
+    the lifted rows at the same point, with the same outcome.
     """
     pt = _random_point(a, random.Random(seed))
-    return ReducedSpan(a.dim, [gen.evaluate(pt) for gen in gens]).rank == a.dim, pt
+    y = [sum(map(mul, b, pt)) for b in form.forms]
+    rows = [{p: v for p, v in zip(form.pivots, gen.evaluate(y)) if v} for gen in gens]
+    rows.extend(form.center)
+    return ReducedSpan(a.dim, rows).rank == a.dim, pt
 
 
 def saito_check(a: MultiArrangement, gens, seed: int = 0) -> bool:
@@ -506,8 +535,8 @@ def saito_check(a: MultiArrangement, gens, seed: int = 0) -> bool:
                 raise ValueError("derivation is not a member of the module")
     if sum(g.degree for g in gens) != a.multiplicity_sum:
         raise ValueError("generator degrees do not sum to the multiplicity sum")
-    ok, _ = _saito_determinant(a, gens, seed)
-    return ok
+    pt = _random_point(a, random.Random(seed))
+    return ReducedSpan(a.dim, [gen.evaluate(pt) for gen in gens]).rank == a.dim
 
 
 def graded_dimension(a: MultiArrangement, d: int) -> int:
@@ -549,17 +578,16 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
         budget = msum
     if budget < 0:
         raise ValueError("degree budget must be non-negative")
+    form = _essential_form(a)
     if not a.hyperplanes:
-        gens = tuple(coordinate_derivations(n))
         return FreenessCertificate(
             status=FREE, ambient_dim=n, multiplicity_sum=0,
             generator_degrees=(0,) * n,
             dimension_table={d: n * _mono_count(n, d) for d in range(budget + 1)},
-            new_generator_table={0: n},
-            generators=gens, saito_point=(1,) * n,
-            seed=seed, budget=budget)
+            new_generator_table={0: n}, saito_point=(1,) * n,
+            seed=seed, budget=budget,
+            essential_form=form, essential_generators=())
 
-    form = _essential_form(a)
     center = len(form.center)
     ess_dims: dict = {}
     new_table: dict = {}
@@ -569,7 +597,6 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
     status = INCONCLUSIVE
     note = None
     saito_point = None
-    lifted = None
     for d in range(budget + 1):
         dim_d, n_new = _scan_degree(form.ess, d, gens)
         ess_dims[d] = dim_d
@@ -586,15 +613,13 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
             if degsum > msum:
                 break
             if degsum == msum:
-                lifted = tuple(_center_elements(form) + _lift_elements(gens, form, n))
-                ok, saito_point = _saito_determinant(a, lifted, seed)
+                ok, saito_point = _essential_saito(a, form, gens, seed)
                 if ok:
                     status = FREE
                     break
                 # a candidate with vanishing determinant cannot be a basis;
                 # keep scanning for the extra generators that must exist
                 note = "candidate basis failed the determinant test"
-                lifted = None
     if status is INCONCLUSIVE:
         if count > n:
             status = NONFREE
@@ -610,7 +635,8 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
 
     degrees = tuple(sorted([0] * center + [g.degree for g in gens]))
     dim_table = _lifted_dimension_table(ess_dims, center, n)
-    if status == FREE:
+    free = status == FREE
+    if free:
         for d, dim_d in dim_table.items():
             expect = sum(_mono_count(n, d - e) for e in degrees)
             if dim_d != expect:
@@ -619,9 +645,10 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
         status=status, ambient_dim=n, multiplicity_sum=msum,
         generator_degrees=degrees, dimension_table=dim_table,
         new_generator_table=new_table,
-        generators=lifted if status == FREE else None,
-        saito_point=saito_point if status == FREE else None,
-        seed=seed, budget=budget, note=note)
+        saito_point=saito_point if free else None,
+        seed=seed, budget=budget, note=note,
+        essential_form=form if free else None,
+        essential_generators=tuple(gens) if free else None)
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +658,11 @@ def _lines(count: int):
     return ((1, 0), (0, 1), (1, -1))[:count]
 
 
-def _rank2_basis(mults) -> list:
-    """The certified basis of 2 or 3 concurrent lines with the given
-    multiplicities, sorted by degree.  Any such multiarrangement is free, and
-    3 distinct concurrent lines are linearly equivalent to any other 3, so
-    only the multiplicities matter; the first line is x = 0."""
+def _rank2_certificate(mults) -> FreenessCertificate:
+    """The Free certificate of 2 or 3 concurrent lines with the given
+    multiplicities.  Any such multiarrangement is free, and 3 distinct
+    concurrent lines are linearly equivalent to any other 3, so only the
+    multiplicities matter; the first line is x = 0."""
     mults = list(mults)
     if len(mults) not in (2, 3):
         raise UnsupportedSizeError("rank-2 oracle handles 2 or 3 lines")
@@ -644,14 +671,20 @@ def _rank2_basis(mults) -> list:
     cert = freeness_verdict(MultiArrangement(2, tuple(zip(_lines(len(mults)), mults))))
     if cert.status != FREE:
         raise AssertionError("rank-2 multiarrangement did not certify free")
-    return sorted(cert.generators, key=lambda g: g.degree)
+    return cert
+
+
+def _rank2_basis(mults) -> list:
+    """The certified rank-2 basis, sorted by degree."""
+    return sorted(_rank2_certificate(mults).generators, key=lambda g: g.degree)
 
 
 def rank2_oracle_exponents(mults) -> tuple[int, int]:
     """Exponents (d1 >= d2) of 2 or 3 concurrent lines with the given
-    multiplicities, straight from the graded kernels."""
-    low, high = _rank2_basis(mults)
-    return high.degree, low.degree
+    multiplicities, straight from the graded kernels (no generator is
+    lifted)."""
+    low, high = _rank2_certificate(mults).generator_degrees
+    return high, low
 
 
 def euler_restriction_degree(m0: int, others) -> int:

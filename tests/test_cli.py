@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import braidfree
 from braidfree.cli import main
 
@@ -287,10 +289,13 @@ def test_census_sampling_mode(capsys):
     assert result["eliminable"] + result["non_eliminable"] == result["samples"]
 
 
+CLI = [sys.executable, "-m", "braidfree.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(braidfree.__file__).parents[1])}
+
+
 def _cli_process(argv, stdin):
-    env = {**os.environ, "PYTHONPATH": str(Path(braidfree.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "braidfree.cli", *argv], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([*CLI, *argv], input=stdin,
+                          capture_output=True, text=True, env=CLI_ENV, timeout=60)
 
 
 def test_spec_graph_field_must_be_an_object(tmp_path):
@@ -302,3 +307,32 @@ def test_spec_graph_field_must_be_an_object(tmp_path):
         assert proc.returncode == 2, graph
         assert proc.stdout == ""
         assert proc.stderr == "error: 'graph' must be a JSON object\n"
+
+
+def _one_error_line(stderr):
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_report_to_a_full_device_exits_two():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([*CLI, "census", "--vertices", "4"], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=CLI_ENV, timeout=60)
+    assert proc.returncode == 2
+    _one_error_line(proc.stderr)
+
+
+def test_report_to_a_closed_pipe_exits_two():
+    # the 5-vertex census report is far larger than a pipe buffer, so the
+    # writer is still writing when the reader goes away
+    proc = subprocess.Popen([*CLI, "census", "--vertices", "5"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=CLI_ENV)
+    try:
+        assert len(proc.stdout.read(200)) == 200
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    _one_error_line(stderr)

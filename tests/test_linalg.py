@@ -129,3 +129,45 @@ def test_primitive():
     assert primitive([-4, 6]) == [2, -3]
     assert primitive([0, 0]) == [0, 0]
 
+
+
+def singleton_matrices(rng):
+    """Sparse matrices in which about 30% of the rows have one entry, with
+    duplicate and scaled single-entry rows, rows that keep one entry once
+    the columns those force to zero are struck out, and rows that keep none."""
+    for _ in range(60):
+        nc = rng.randint(4, 30)
+        rows = []
+        for _ in range(rng.randint(3, 30)):
+            if rng.random() < 0.3:
+                rows.append({rng.randrange(nc): rng.choice((-3, -1, 1, 2, 5))})
+            else:
+                cols = rng.sample(range(nc), rng.randint(2, min(6, nc)))
+                rows.append({c: rng.choice((-4, -2, -1, 1, 3, 7)) for c in cols})
+        singles = sorted({c for row in rows if len(row) == 1 for c in row})
+        if singles:
+            for _ in range(rng.randint(1, 4)):
+                c = rng.choice(singles)
+                rows.append({c: rng.choice((-3, 4))})
+                dead = rng.sample(singles, rng.randint(1, len(singles)))
+                row = {d: rng.choice((-2, 1, 6)) for d in dead}
+                if rng.random() < 0.7:
+                    row[rng.randrange(nc)] = rng.choice((-5, 1, 3))
+                rows.append(row)
+        rng.shuffle(rows)
+        yield rows, nc
+
+
+def test_singleton_prepass_matches_one_by_one_insertion():
+    rng = random.Random(61)
+    stripped = 0
+    for rows, nc in singleton_matrices(rng):
+        batch = ReducedSpan(nc, rows)
+        one_by_one = ReducedSpan(nc)
+        for row in sorted(rows, key=len):
+            one_by_one.insert(row)
+        assert batch.rank == one_by_one.rank
+        assert set(batch.pivots) == set(one_by_one.pivots)
+        assert list(batch.kernel()) == list(one_by_one.kernel())
+        stripped += sum(map(len, one_by_one.pivots.values())) > sum(map(len, batch.pivots.values()))
+    assert stripped > 10

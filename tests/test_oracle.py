@@ -2,16 +2,21 @@
 Saito certification, and freeness verdicts on classical fixtures."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
-                       UnsupportedSizeError, classify, freeness_verdict,
-                       graded_dimension, minimal_generators, saito_check,
+                       UnsupportedSizeError, classify, enumerate_classes,
+                       freeness_verdict, graded_dimension, lmp2,
+                       minimal_generators, saito_check, theorem_scope,
                        to_arrangement)
+import braidfree.oracle as oracle
+from braidfree.cli import main
 from braidfree.linalg import primitive
 from braidfree.oracle import (DerivationElement, FREE, INCONCLUSIVE, NONFREE,
                               coordinate_derivations, monomials)
@@ -225,3 +230,93 @@ def test_certificate_invariant_under_unimodular_coordinates(hyps, ops, perm):
     assert (a.status, a.note, a.generator_degrees) == (b.status, b.note, b.generator_degrees)
     assert a.dimension_table == b.dimension_table
     assert a.new_generator_table == b.new_generator_table
+
+
+def _count_lifts(monkeypatch):
+    calls = []
+    lift = oracle._lift_elements
+
+    def spy(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(oracle, "_lift_elements", spy)
+    return calls
+
+
+def test_census_oracle_never_lifts(capsys, monkeypatch):
+    calls = _count_lifts(monkeypatch)
+    assert main(["census", "--vertices", "4", "--oracle"]) == 0
+    golden = Path(__file__).parent / "golden" / "census4_oracle.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert calls == []
+
+
+def test_rank2_closed_form_validation_never_lifts(monkeypatch):
+    from braidfree import validate_rank2_closed_form
+    calls = _count_lifts(monkeypatch)
+    assert validate_rank2_closed_form(6) == 15 + 20
+    assert calls == []
+
+
+def test_generators_lift_once_on_first_read(monkeypatch):
+    # Plus 12, 13, 23 on 4 vertices at k = 1: Free, with a center direction
+    arr = to_arrangement(braid_spec(1, (0, 0, 0, 0), plus=[(1, 2), (1, 3), (2, 3)]))
+    cert = freeness_verdict(arr, seed=4)
+    assert cert.status == FREE and cert.generator_degrees[0] == 0
+    calls = _count_lifts(monkeypatch)
+    gens = cert.generators
+    assert cert.generators is gens
+    assert len(calls) == 1
+    assert tuple(sorted(g.degree for g in gens)) == cert.generator_degrees
+    assert saito_check(arr, gens, seed=cert.seed)
+
+
+def test_free_certificate_pickles_with_its_generators():
+    arr = to_arrangement(braid_spec(1, (0, 1, 0, 0), plus=[(1, 2)], minus=[(3, 4)]))
+    cert = freeness_verdict(arr)
+    assert cert.status == FREE
+    unread = pickle.loads(pickle.dumps(cert))
+    assert unread == cert
+    gens = cert.generators
+    read = pickle.loads(pickle.dumps(cert))
+    assert unread.generators == read.generators == gens
+    assert saito_check(arr, read.generators)
+
+
+@pytest.mark.parametrize("digits, budget", [("0001022222", 4), ("0011202120", 5)])
+def test_failed_determinant_leaves_the_candidate_inconclusive(digits, budget):
+    # 5-vertex k=1 classes whose n minimal generators up to the budget have
+    # the right degree sum but vanishing determinant at the seeded point
+    graph = EdgeBicoloredGraph.from_digits(5, tuple(int(c) for c in digits))
+    arr = to_arrangement(MultiBraidSpec(1, (0,) * 5, graph))
+    cert = freeness_verdict(arr, budget=budget)
+    assert cert.status == INCONCLUSIVE
+    assert cert.note == "candidate basis failed the determinant test"
+    assert cert.generators is None and cert.saito_point is None
+    assert len(cert.generator_degrees) == 5
+    assert sum(cert.generator_degrees) == arr.multiplicity_sum
+
+
+def test_free_exponents_match_second_local_mixed_product():
+    # for a free multiarrangement the second local mixed product is e2 of
+    # the exponents (Abe-Terao-Wakefield 2007)
+    specs = [MultiBraidSpec(1, (0,) * n, c.representative)
+             for n in (3, 4) for c in enumerate_classes(n, include_swap=True)]
+    rng = random.Random(67)
+    drawn = 0
+    while drawn < 20:
+        spec = MultiBraidSpec(rng.randint(0, 2), tuple(rng.randint(0, 2) for _ in range(4)),
+                              EdgeBicoloredGraph.from_digits(4, [rng.randrange(3) for _ in range(6)]))
+        if theorem_scope(spec) is None or min(spec.multiplicities().values()) < 0:
+            continue
+        drawn += 1
+        specs.append(spec)
+    free = 0
+    for spec in specs:
+        cert = freeness_verdict(to_arrangement(spec))
+        if cert.status == FREE:
+            free += 1
+            degs = cert.generator_degrees
+            assert sum(a * b for a, b in itertools.combinations(degs, 2)) == lmp2(spec)
+    assert free >= 30 + 5       # the 30 Free classes and some drawn specs
