@@ -18,8 +18,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .deform import DeformationSpec, deformation_verdict
@@ -141,9 +139,16 @@ def cmd_census(args) -> dict:
         payloads = [(c.canonical_key.hex(), c.representative.digits(), args.vertices,
                      c.labeled_count, args.oracle, args.seed) for c in classes]
         if args.jobs > 1:
+            # imported here: the pool pulls in multiprocessing, which every
+            # other command would pay for at start-up
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
             workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_census_row, payloads, chunksize=4))
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    rows = list(pool.map(_census_row, payloads, chunksize=4))
+            except BrokenProcessPool as exc:
+                raise AssertionError(str(exc)) from exc
         else:
             rows = [_census_row(p) for p in payloads]
         eliminable = sum(1 for r in rows if r["eliminable"])
@@ -279,7 +284,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         body = args.handler(args)
-    except (AssertionError, BrokenProcessPool) as exc:
+    except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (InputError, UnsupportedSizeError, ValueError, OSError) as exc:

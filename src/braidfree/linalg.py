@@ -18,7 +18,11 @@ against a one-entry pivot row does exactly that deletion, so the row space,
 the pivot columns and the kernel vectors are those of inserting the rows one
 by one; only the pivot table is sparser.  This matters for the oracle: in
 its essential coordinates a braid hyperplane x_i - x_n becomes a coordinate
-hyperplane, and each of its constraint rows has one entry.
+hyperplane whose constraint rows have one entry each, and so do the unit
+rows that fence off the product span's pivot columns.  The batch stops once
+the rank reaches the column count: every later row then lies in the span,
+so the rank, the pivot columns and the (empty) kernel are those of
+inserting every row.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ from math import gcd
 
 
 def _sparse(vec) -> dict:
-    """A new ``{column: value}`` copy of a dense or sparse row."""
+    """A new ``{column: value}`` copy of a dense or sparse row, without zeros."""
     if isinstance(vec, dict):
+        if 0 in vec.values():
+            return {c: v for c, v in vec.items() if v}
         return dict(vec)
     return {c: v for c, v in enumerate(vec) if v}
 
@@ -53,11 +59,11 @@ class ReducedSpan:
     ``pivots`` maps each pivot column to the primitive row whose lowest
     column it is.  Rows may be dense sequences or ``{column: int}`` dicts.
     The constructor eliminates a whole batch of rows (sparsest first,
-    dropping the columns that single-entry rows force to zero), ``insert``
-    adds one more, and ``kernel`` yields the right kernel of
-    everything inserted so far.  When a row being reduced is sparser than
-    the pivot row at its lowest column, the two trade places, which keeps
-    the table sparse.
+    dropping the columns that single-entry rows force to zero, and stopping
+    at full rank), ``insert`` adds one more, and ``kernel`` yields the right
+    kernel of everything inserted so far.  When a row being reduced is
+    sparser than the pivot row at its lowest column, the two trade places,
+    which keeps the table sparse.
     """
 
     def __init__(self, ncols: int, rows=()):
@@ -71,7 +77,8 @@ class ReducedSpan:
                 dead.update(row)
             elif not row:
                 continue
-            self._insert(row)
+            if self._insert(row) and len(self.pivots) == ncols:
+                break           # full rank: every later row lies in the span
 
     @property
     def rank(self) -> int:

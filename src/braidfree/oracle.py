@@ -26,9 +26,14 @@ and Saito checks are in the original ambient coordinates, and the whole path
 is integer arithmetic.
 
 One per-degree scan computes every graded piece: ``graded_dimension``,
-``minimal_generators`` and ``freeness_verdict`` all read its tables, and the
-rank-2 routines at the end, the tests' reference for the closed forms in
-``multibraid``, read their exponents off one certified basis.
+``minimal_generators`` and ``freeness_verdict`` all read its tables.  At
+each degree it spans the products of the earlier generators, then
+eliminates the constraint rows once, together with a unit row on each pivot
+column of that span, so the columns the products already fill drop out of
+the elimination and every kernel vector is a new generator (see
+``_scan_degree``).  The rank-2 routines at the end, the tests' reference
+for the closed forms in ``multibraid``, read their exponents off one
+certified basis.
 """
 
 from __future__ import annotations
@@ -454,33 +459,31 @@ def _check_kernel_vector(rows, vec: dict, cols: int) -> None:
 def _scan_degree(ess: MultiArrangement, d: int, gens: list):
     """One degree of the minimal-generator scan; appends new generators.
 
-    The constraint rows are eliminated once: the pivot table gives the layer
-    dimension, and kernel vectors are drawn from it lazily until the span of
-    products and new generators fills the layer.
+    Every product x^mu * g of an earlier generator goes into the product
+    span P first.  Let W be the coordinate subspace of the columns that are
+    not pivots of P.  A nonzero element of P is nonzero at some pivot
+    column, so P and W intersect in 0; as P lies in the layer D_d, the layer
+    is the direct sum of P and the intersection of D_d with W.  The
+    constraint rows together with one unit row per pivot column of P are the
+    equations of that intersection, so one elimination of them gives the new
+    generators: every kernel vector is one, and dim D_d = rank P + their
+    number.  Each is checked against the constraint rows and must raise the
+    rank of the span.
     """
     nv = ess.dim
     rows, cols = _assemble(ess, d)
-    table = ReducedSpan(cols, rows)
-    dim_d = cols - table.rank
     span = ReducedSpan(cols)
     for gen in gens:
         for mu in monomials(nv, d - gen.degree):
-            if span.rank == dim_d:
-                break
             span.insert(_flat_shifted(gen, mu, nv, d))
-    n_new = dim_d - span.rank
-    if n_new < 0:
-        raise AssertionError("product span exceeds the layer dimension")
-    if n_new:
-        for vec in table.kernel():
-            if span.rank == dim_d:
-                break
-            if span.insert(vec):
-                _check_kernel_vector(rows, vec, cols)
-                gens.append(_element_from_flat(vec, nv, d))
-        if span.rank != dim_d:
-            raise AssertionError("generator extraction does not match the count")
-    return dim_d, n_new
+    table = ReducedSpan(cols, rows + [{c: 1} for c in span.pivots])
+    n_new = cols - table.rank
+    for vec in table.kernel():
+        _check_kernel_vector(rows, vec, cols)
+        if not span.insert(vec):
+            raise AssertionError("a new generator lies in the product span")
+        gens.append(_element_from_flat(vec, nv, d))
+    return span.rank, n_new
 
 
 def _random_point(a: MultiArrangement, rng: random.Random):

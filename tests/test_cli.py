@@ -237,8 +237,8 @@ class _SerialPool:
 
 
 def test_census_pool_is_bounded(capsys, monkeypatch):
-    import braidfree.cli as cli
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     rc, out = run(capsys, "--jobs", str(10 ** 6), "census", "--vertices", "3")
     assert rc == 0
@@ -296,6 +296,16 @@ CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(braidfree.__file__).parents[1])}
 def _cli_process(argv, stdin):
     return subprocess.run([*CLI, *argv], input=stdin,
                           capture_output=True, text=True, env=CLI_ENV, timeout=60)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only census --jobs N > 1 needs the pool; every other command would pay
+    # for importing multiprocessing at start-up
+    code = ("import sys, braidfree.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CLI_ENV, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_spec_graph_field_must_be_an_object(tmp_path):

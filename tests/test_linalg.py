@@ -171,3 +171,32 @@ def test_singleton_prepass_matches_one_by_one_insertion():
         assert list(batch.kernel()) == list(one_by_one.kernel())
         stripped += sum(map(len, one_by_one.pivots.values())) > sum(map(len, batch.pivots.values()))
     assert stripped > 10
+
+
+def test_explicit_zeros_in_dict_rows_are_dropped():
+    # a zero entry is no entry: it is neither a pivot nor a lead to divide by
+    assert set(ReducedSpan(3, [{0: 0, 1: 1}]).pivots) == {1}
+    span = ReducedSpan(3, [{0: 0, 1: 1}, {0: 1, 2: 1}])
+    assert span.rank == 2 and set(span.pivots) == {0, 1}
+    span = ReducedSpan(3)
+    assert span.insert({0: 0, 2: 5})
+    assert span.pivots == {2: {2: 1}}
+    assert not span.insert({1: 0})
+
+
+def test_full_rank_batch_matches_one_by_one_insertion():
+    # batches with more independent rows than columns stop at full rank
+    rng = random.Random(71)
+    for _ in range(40):
+        nc = rng.randint(2, 12)
+        rows = []
+        for _ in range(rng.randint(nc + 2, 3 * nc)):
+            cols = rng.sample(range(nc), rng.randint(2, nc))
+            rows.append({c: rng.choice((-5, -2, -1, 1, 3, 4)) for c in cols})
+        batch = ReducedSpan(nc, rows)
+        one_by_one = ReducedSpan(nc)
+        for row in rows:
+            one_by_one.insert(row)
+        assert batch.rank == one_by_one.rank == nc
+        assert set(batch.pivots) == set(one_by_one.pivots) == set(range(nc))
+        assert list(batch.kernel()) == []

@@ -2,6 +2,7 @@
 Saito certification, and freeness verdicts on classical fixtures."""
 
 import itertools
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -17,9 +18,13 @@ from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
                        to_arrangement)
 import braidfree.oracle as oracle
 from braidfree.cli import main
-from braidfree.linalg import primitive
+from braidfree.deform import DeformationSpec, build_and_cone
+from braidfree.graphs import DirectedGraph
+from braidfree.linalg import ReducedSpan, primitive
 from braidfree.oracle import (DerivationElement, FREE, INCONCLUSIVE, NONFREE,
                               coordinate_derivations, monomials)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BRAID3 = MultiArrangement.build(3, [
     ((1, -1, 0), 1), ((1, 0, -1), 1), ((0, 1, -1), 1)])
@@ -320,3 +325,69 @@ def test_free_exponents_match_second_local_mixed_product():
             degs = cert.generator_degrees
             assert sum(a * b for a, b in itertools.combinations(degs, 2)) == lmp2(spec)
     assert free >= 30 + 5       # the 30 Free classes and some drawn specs
+
+
+def _layers(arr, top):
+    """Full kernel bases of the ambient constraint tables, degrees 0..top."""
+    out = []
+    for d in range(top + 1):
+        rows, cols = oracle._assemble(arr, d)
+        out.append((list(ReducedSpan(cols, rows).kernel()), cols))
+    return out
+
+
+def _reference_new_generators(arr, layers, d):
+    """dim D_d minus the rank of the products x_j * D_{d-1}: the number of
+    minimal generators of degree d, whatever basis is chosen."""
+    layer, cols = layers[d]
+    if d == 0:
+        return len(layer)
+    n = arr.dim
+    lower = monomials(n, d - 1)
+    index = {mu: t for t, mu in enumerate(monomials(n, d))}
+    products = []
+    for vec in layers[d - 1][0]:
+        for j in range(n):
+            shifted = {}
+            for col, v in vec.items():
+                i, t = divmod(col, len(lower))
+                mu = list(lower[t])
+                mu[j] += 1
+                shifted[i * len(index) + index[tuple(mu)]] = v
+            products.append(shifted)
+    return len(layer) - ReducedSpan(cols, products).rank
+
+
+def _count_fixtures():
+    rng = random.Random(73)
+    arrangements = []
+    while len(arrangements) < 30:
+        dim = 2 + len(arrangements) % 3
+        rank = dim - (len(arrangements) % 4 == 0 and dim > 2)    # some non-essential
+        basis = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rank)]
+        normals = {}
+        for _ in range(rng.randint(2, 5 if dim < 4 else 4)):
+            v = [sum(rng.randint(-1, 1) * b[j] for b in basis) for j in range(dim)]
+            if any(v):
+                normals.setdefault(tuple(primitive(v)), rng.randint(1, 3))
+        if len(normals) >= 2:
+            arrangements.append(MultiArrangement(dim, tuple(normals.items())))
+    cones = json.loads((ROOT / "perfbench" / "data" / "cones.json").read_text(encoding="utf-8"))
+    for cone in cones[3:6]:
+        arcs = [tuple(arc) for arc in cone["arcs"]]
+        arrangements.append(build_and_cone(DeformationSpec(DirectedGraph.from_arcs(4, arcs), 1))[1])
+    return arrangements
+
+
+def test_new_generator_counts_match_a_basis_free_reference():
+    # the scan takes as new generators the layer's kernel off the pivot
+    # columns of the product span; the reference counts from full kernels
+    nonfree = to_arrangement(MultiBraidSpec(
+        1, (0,) * 5, EdgeBicoloredGraph.from_digits(5, tuple(int(c) for c in "0012122220"))))
+    for arr in [nonfree, *_count_fixtures()]:
+        cert = minimal_generators(arr, budget=5)
+        layers = _layers(arr, 5)
+        for d in range(6):
+            assert cert.dimension_table[d] == len(layers[d][0])
+            assert cert.new_generator_table[d] == _reference_new_generators(arr, layers, d)
+    assert minimal_generators(nonfree, budget=5).new_generator_table[5] == 4
