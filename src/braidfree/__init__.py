@@ -5,9 +5,8 @@ derivation-module oracle to verify it all at desk scale."""
 __version__ = "0.1.0"
 
 from .graphs import (ABSENT, MINUS, PLUS, DirectedGraph, EdgeBicoloredGraph,
-                     EdgeColor, GraphClass, UnsupportedSizeError, canonical_key,
-                     color_swap, enumerate_classes, induced_subgraph,
-                     permute_graph)
+                     GraphClass, UnsupportedSizeError, canonical_key, color_swap,
+                     enumerate_classes, induced_subgraph, permute_graph)
 from .eliminate import (EliminabilityResult, Filtration, Ordering,
                         StructuralReport, complete_filtration, find_ordering,
                         is_eliminable, is_valid_ordering, iter_valid_orderings,

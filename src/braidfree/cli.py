@@ -24,7 +24,8 @@ from .deform import DeformationSpec, deformation_verdict
 from .eliminate import complete_filtration, is_eliminable
 from .fileio import (InputError, digraph_to_obj, graph_to_obj, load_arrangement,
                      load_digraph, load_graph, load_spec, spec_to_obj)
-from .graphs import EdgeBicoloredGraph, UnsupportedSizeError, enumerate_classes
+from .graphs import (MAX_CENSUS_VERTICES, PLUS, EdgeBicoloredGraph, UnsupportedSizeError,
+                     enumerate_classes)
 from .multibraid import FREE, CharPoly, MultiBraidSpec, classify, lmp2, to_arrangement
 from .oracle import freeness_verdict
 
@@ -36,7 +37,7 @@ def _structural_obj(report) -> dict:
     def witness(w):
         if w is None:
             return None
-        obj = {"sigma": "plus" if w.sigma == 1 else "minus", "path": list(w.path)}
+        obj = {"sigma": "plus" if w.sigma == PLUS else "minus", "path": list(w.path)}
         if hasattr(w, "omega"):
             obj["omega"] = w.omega
         else:
@@ -134,7 +135,7 @@ def cmd_census(args) -> dict:
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     include_swap = not args.no_swap
-    if args.vertices <= 5:
+    if args.vertices <= MAX_CENSUS_VERTICES:
         classes = enumerate_classes(args.vertices, include_swap=include_swap)
         payloads = [(c.canonical_key.hex(), c.representative.digits(), args.vertices,
                      c.labeled_count, args.oracle, args.seed) for c in classes]
@@ -185,8 +186,8 @@ def cmd_census(args) -> dict:
             },
         }
     raise InputError(
-        f"census is exhaustive up to 5 vertices and sampled at {SAMPLING_CENSUS_VERTICES}; "
-        f"{args.vertices} vertices is out of range")
+        f"census is exhaustive up to {MAX_CENSUS_VERTICES} vertices and sampled at "
+        f"{SAMPLING_CENSUS_VERTICES}; {args.vertices} vertices is out of range")
 
 
 def cmd_oracle(args) -> dict:

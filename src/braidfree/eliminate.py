@@ -1,11 +1,10 @@
 """Bicolor-eliminability decided two independent ways.
 
-The ordering route searches for a vertex ranking that avoids the two
-forbidden triple patterns below; the structural route checks chordality of
-both one-colored graphs (greedy simplicial elimination on bitmask
-adjacency), eliminability of every 4-vertex induced subgraph (a lookup in a
-729-entry table built from the ordering route on first use), and the
-absence of the two induced obstruction shapes (mountains and hills).
+The ordering route looks for a vertex ranking that avoids the two forbidden
+triple patterns below; the structural route checks chordality of both
+one-colored graphs, eliminability of every 4-vertex induced subgraph (a
+lookup in a 729-entry table built from the ordering route on first use), and
+the absence of the two induced obstruction shapes (mountains and hills).
 ``structural_check`` is the one structural routine; ``is_eliminable`` runs
 both routes and is the one place their agreement is asserted.  A
 disagreement is an internal bug, not a mathematical outcome.
@@ -15,6 +14,14 @@ color s in {Plus, Minus}:
 
   (1)  {i,k} and {j,k} both have color s but {i,j} does not;
   (2)  {k,i} has color s, {i,j} has the opposite color, {k,j} is absent.
+
+Both patterns read only the edges inside a triple, so a valid ordering
+restricts to a valid ordering of every induced subgraph.  Hence when a
+vertex set has an ordering, removing any vertex that may take its top rank
+leaves a set that still has one, and the ordering search needs no
+backtracking: ``_peel`` puts the smallest eligible vertex on top and
+repeats.  Perfect elimination orderings of chordal graphs are hereditary in
+the same way, so the same peel decides chordality.
 """
 
 from __future__ import annotations
@@ -24,6 +31,16 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph
+
+
+def _inverse(perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    perm = tuple(perm)
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError("an ordering must be a permutation of 1..n")
+    inverse = [0] * len(perm)
+    for i, p in enumerate(perm, start=1):
+        inverse[p - 1] = i
+    return perm, tuple(inverse)
 
 
 @dataclass(frozen=True)
@@ -38,27 +55,17 @@ class Ordering:
     by_rank: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.ranks)
-        if sorted(self.ranks) != list(range(1, n + 1)):
-            raise ValueError("ranks must be a bijection onto 1..n")
-        if tuple(self.ranks[v - 1] for v in self.by_rank) != tuple(range(1, n + 1)):
+        if _inverse(self.ranks)[1] != tuple(self.by_rank):
             raise ValueError("ranks and by_rank are inconsistent")
 
     @classmethod
     def from_ranks(cls, ranks) -> "Ordering":
-        ranks = tuple(ranks)
-        by_rank = [0] * len(ranks)
-        for v, r in enumerate(ranks, start=1):
-            by_rank[r - 1] = v
-        return cls(ranks, tuple(by_rank))
+        return cls(*_inverse(ranks))
 
     @classmethod
     def from_by_rank(cls, by_rank) -> "Ordering":
-        by_rank = tuple(by_rank)
-        ranks = [0] * len(by_rank)
-        for r, v in enumerate(by_rank, start=1):
-            ranks[v - 1] = r
-        return cls(tuple(ranks), by_rank)
+        by_rank, ranks = _inverse(by_rank)
+        return cls(ranks, by_rank)
 
     @classmethod
     def identity(cls, n: int) -> "Ordering":
@@ -76,75 +83,79 @@ class Ordering:
         return self.by_rank[r - 1]
 
 
-def _triple_bad(a: int, b: int, c: int) -> bool:
-    # a = color(i,k), b = color(j,k), c = color(i,j); k is the top vertex
-    if a:
-        if a == b:
-            return c != a
-        if not b and c == SWAPPED[a]:
-            return True
-    return b != ABSENT and not a and c == SWAPPED[b]
+def _clique(adj_s, v: int, members: int) -> bool:
+    """True iff v's neighbors of one color s among the ``members`` mask form
+    an s-clique (``adj_s`` is ``g.adjacency[s]``): pattern (1) with v on top,
+    and equally, v is simplicial in the s-colored graph."""
+    nb = adj_s[v] & members
+    while nb:
+        low = nb & -nb
+        nb ^= low
+        if nb & ~adj_s[low.bit_length() - 1]:
+            return False
+    return True
+
+
+def _sink_ok(adj, v: int, members: int) -> bool:
+    """May v take the top rank among the ``members`` mask (v's own bit is
+    ignored)?  Only edges inside a triple matter, so this does not depend on
+    how the rest is ranked."""
+    if not (_clique(adj[PLUS], v, members) and _clique(adj[MINUS], v, members)):
+        return False
+    # pattern (2): no s-neighbor i of v has an opposite-color neighbor that
+    # is absent from v
+    absent = adj[ABSENT][v] & members
+    for s in (PLUS, MINUS):
+        nb = adj[s][v] & members
+        opposite = adj[SWAPPED[s]]
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            if opposite[low.bit_length() - 1] & absent:
+                return False
+    return True
+
+
+def _peel(n: int, ok):
+    """Rank vertices 1..n from the top down, greedily: while more than two
+    remain, the smallest v with ``ok(v, remaining)`` takes the top rank
+    (vertex v is bit v of the mask); the last two take ranks 1 and 2 in
+    vertex order.  Returns ``by_rank``, or None once no vertex is eligible.
+    """
+    remaining = (1 << (n + 1)) - 2
+    top = []
+    for _ in range(n - 2):
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            if ok(low.bit_length() - 1, remaining):
+                break
+            rest ^= low
+        else:
+            return None
+        remaining ^= low
+        top.append(low.bit_length() - 1)
+    return (*(v for v in range(1, n + 1) if remaining >> v & 1), *reversed(top))
 
 
 def is_valid_ordering(g: EdgeBicoloredGraph, nu: Ordering) -> bool:
     """True iff no triple with its top-ranked vertex matches pattern (1) or (2)."""
     if nu.n != g.n:
         raise ValueError("ordering size does not match the graph")
-    by = nu.by_rank
-    return all(_sink_ok(g.mat, by[top], by[:top + 1]) for top in range(2, g.n))
-
-
-def _sink_ok(mat, v: int, members) -> bool:
-    # May v take the top rank among ``members``? Only edges inside the triple
-    # matter, so this is independent of how the complement was ranked.
-    row_v = mat[v]
-    m = len(members)
-    for x in range(m):
-        i = members[x]
-        if i == v:
-            continue
-        a = row_v[i]
-        row_i = mat[i]
-        for y in range(x + 1, m):
-            j = members[y]
-            if j == v:
-                continue
-            if _triple_bad(a, row_v[j], row_i[j]):
-                return False
+    adj = g.adjacency
+    lower = 0
+    for v in nu.by_rank:
+        if not _sink_ok(adj, v, lower):
+            return False
+        lower |= 1 << v
     return True
 
 
 def find_ordering(g: EdgeBicoloredGraph):
-    """Some bicolor-elimination ordering of g, or None.
-
-    Backtracking over sink-eligible vertices from the top rank down, memoized
-    on the remaining vertex set: whether a set can fill the bottom ranks does
-    not depend on the arrangement chosen above it.
-    """
-    n = g.n
-    mat = g.mat
-    full = (1 << n) - 1
-    memo: dict[int, list | None] = {}
-
-    def suffix(mask: int, count: int):
-        if count <= 2:
-            return [v + 1 for v in range(n) if mask >> v & 1]
-        cached = memo.get(mask, 0)
-        if cached != 0:
-            return cached
-        members = [v + 1 for v in range(n) if mask >> v & 1]
-        result = None
-        for v in members:
-            if _sink_ok(mat, v, members):
-                rest = suffix(mask ^ (1 << (v - 1)), count - 1)
-                if rest is not None:
-                    result = rest + [v]
-                    break
-        memo[mask] = result
-        return result
-
-    order = suffix(full, n)
-    return None if order is None else Ordering.from_by_rank(order)
+    """Some bicolor-elimination ordering of g, or None (by ``_peel``, which
+    is exact because eliminability is hereditary)."""
+    by_rank = _peel(g.n, functools.partial(_sink_ok, g.adjacency))
+    return None if by_rank is None else Ordering.from_by_rank(by_rank)
 
 
 def iter_valid_orderings(g: EdgeBicoloredGraph):
@@ -164,19 +175,12 @@ def tilde_degrees(g: EdgeBicoloredGraph, nu: Ordering) -> tuple[int, ...]:
     """
     if not is_valid_ordering(g, nu):
         raise ValueError("not a bicolor-elimination ordering for this graph")
-    mat = g.mat
-    by = nu.by_rank
+    plus, minus = g.adjacency[PLUS], g.adjacency[MINUS]
+    lower = 0
     degs = []
-    for r in range(g.n):
-        row = mat[by[r]]
-        d = 0
-        for x in range(r):
-            c = row[by[x]]
-            if c == PLUS:
-                d += 1
-            elif c == MINUS:
-                d -= 1
-        degs.append(d)
+    for v in nu.by_rank:
+        degs.append((plus[v] & lower).bit_count() - (minus[v] & lower).bit_count())
+        lower |= 1 << v
     return tuple(degs)
 
 
@@ -252,33 +256,9 @@ def complete_filtration(g: EdgeBicoloredGraph, nu: Ordering) -> Filtration:
 
 
 def is_chordal_one_color(g: EdgeBicoloredGraph, color: int) -> bool:
-    """Chordality of the one-colored graph (V, E^color) by simplicial elimination.
-
-    A graph is chordal iff its vertices admit an elimination order; greedily
-    removing any vertex whose neighborhood is a clique is exact.  Vertex v is
-    bit v of the remaining-set mask and of ``g.adjacency``.
-    """
-    adj = g.adjacency[color]
-    remaining = (1 << (g.n + 1)) - 2
-    while remaining:
-        rest = remaining
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nb = adj[low.bit_length() - 1] & remaining
-            # nb is a clique iff each member misses no other member
-            others = nb
-            while others:
-                bit = others & -others
-                if nb & ~adj[bit.bit_length() - 1] & ~bit:
-                    break
-                others ^= bit
-            else:
-                remaining ^= low
-                break
-        else:
-            return False
-    return True
+    """Chordality of the one-colored graph (V, E^color): a graph is chordal
+    iff ``_peel`` can remove simplicial vertices down to two."""
+    return _peel(g.n, functools.partial(_clique, g.adjacency[color])) is not None
 
 
 @functools.cache

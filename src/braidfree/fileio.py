@@ -7,7 +7,8 @@ Spec file:       {"k": 1, "n": [0,0,0], "graph": {...graph file...}}
 Arrangement:     {"dim": 3, "hyperplanes": [{"normal": [1,-1,0], "mult": 2}]}
                  (normal entries are integers or "p/q" strings)
 
-Pairs with equal endpoints and duplicated pairs are rejected.
+Pairs with equal endpoints and duplicated pairs are rejected, and so are
+JSON booleans wherever an integer is required.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from .oracle import MultiArrangement
 
 class InputError(ValueError):
     """Malformed input file or arguments (CLI exit code 2)."""
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_obj(source) -> dict:
@@ -49,7 +55,7 @@ def _pairs(obj, field) -> list[tuple[int, int]]:
     out = []
     for item in raw:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not all(isinstance(x, int) for x in item)):
+                or not all(_is_int(x) for x in item)):
             raise InputError(f"field {field!r} holds a malformed pair: {item!r}")
         out.append((item[0], item[1]))
     return out
@@ -57,7 +63,7 @@ def _pairs(obj, field) -> list[tuple[int, int]]:
 
 def load_graph(source) -> EdgeBicoloredGraph:
     obj = _load_obj(source)
-    if "vertices" not in obj or not isinstance(obj["vertices"], int):
+    if not _is_int(obj.get("vertices")):
         raise InputError("graph file needs an integer 'vertices' field")
     try:
         return EdgeBicoloredGraph.from_edges(
@@ -68,7 +74,7 @@ def load_graph(source) -> EdgeBicoloredGraph:
 
 def load_digraph(source) -> DirectedGraph:
     obj = _load_obj(source)
-    if "vertices" not in obj or not isinstance(obj["vertices"], int):
+    if not _is_int(obj.get("vertices")):
         raise InputError("digraph file needs an integer 'vertices' field")
     try:
         return DirectedGraph.from_arcs(obj["vertices"], _pairs(obj, "arcs"))
@@ -76,20 +82,17 @@ def load_digraph(source) -> DirectedGraph:
         raise InputError(str(exc)) from exc
 
 
-def load_spec(source, k=None, n=None) -> MultiBraidSpec:
-    """Build a spec from a file, optionally overriding k and the shift list."""
+def load_spec(source) -> MultiBraidSpec:
     obj = _load_obj(source)
     nested = obj.get("graph", obj)
     if not isinstance(nested, dict):
         raise InputError("'graph' must be a JSON object")
     graph = load_graph(nested)
-    if k is None:
-        k = obj.get("k", 0)
-    if n is None:
-        n = obj.get("n", [0] * graph.n)
-    if not isinstance(k, int):
+    k = obj.get("k", 0)
+    n = obj.get("n", [0] * graph.n)
+    if not _is_int(k):
         raise InputError("'k' must be an integer")
-    if not isinstance(n, (list, tuple)) or not all(isinstance(x, int) for x in n):
+    if not isinstance(n, (list, tuple)) or not all(_is_int(x) for x in n):
         raise InputError("'n' must be a list of integers")
     try:
         return MultiBraidSpec(k, tuple(n), graph)
@@ -98,7 +101,7 @@ def load_spec(source, k=None, n=None) -> MultiBraidSpec:
 
 
 def parse_rational(x) -> Fraction:
-    if isinstance(x, int):
+    if _is_int(x):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -111,7 +114,7 @@ def parse_rational(x) -> Fraction:
 def load_arrangement(source) -> MultiArrangement:
     obj = _load_obj(source)
     dim = obj.get("dim")
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise InputError("arrangement file needs an integer 'dim' field")
     raw = obj.get("hyperplanes")
     if not isinstance(raw, list) or not raw:
@@ -121,7 +124,7 @@ def load_arrangement(source) -> MultiArrangement:
         if not isinstance(h, dict) or "normal" not in h or "mult" not in h:
             raise InputError(f"malformed hyperplane entry: {h!r}")
         normal = [parse_rational(x) for x in h["normal"]]
-        if not isinstance(h["mult"], int):
+        if not _is_int(h["mult"]):
             raise InputError("hyperplane 'mult' must be an integer")
         items.append((normal, h["mult"]))
     try:

@@ -14,18 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from enum import IntEnum
 
-
-class EdgeColor(IntEnum):
-    ABSENT = 0
-    PLUS = 1
-    MINUS = 2
-
-
-ABSENT = int(EdgeColor.ABSENT)
-PLUS = int(EdgeColor.PLUS)
-MINUS = int(EdgeColor.MINUS)
+# edge color codes
+ABSENT, PLUS, MINUS = 0, 1, 2
 
 # color involution: Plus <-> Minus, Absent fixed
 SWAPPED = (ABSENT, MINUS, PLUS)
@@ -96,9 +87,6 @@ class EdgeBicoloredGraph:
                 raise ValueError("unknown edge color code")
             mat[i][j] = mat[j][i] = d
         return cls(n, tuple(tuple(row) for row in mat))
-
-    def color(self, i: int, j: int) -> int:
-        return self.mat[i][j]
 
     def digits(self) -> tuple[int, ...]:
         """Upper-triangle color codes in row-major order (the key serialization)."""

@@ -31,6 +31,102 @@ def test_ordering_validation():
     nu = Ordering.from_ranks([2, 3, 1])
     assert nu.vertex_at(1) == 3 and nu.rank_of(1) == 2
     assert Ordering.from_by_rank(nu.by_rank) == nu
+    # vertices and ranks outside 1..n
+    for make, seq in ((Ordering.from_by_rank, (0, 1)), (Ordering.from_by_rank, (1, 3)),
+                      (Ordering.from_ranks, (0, 1)), (Ordering.from_ranks, (1, 3))):
+        with pytest.raises(ValueError):
+            make(seq)
+    with pytest.raises(ValueError):
+        Ordering((2, 1), (0, 1))
+
+
+def _valid_by_definition(g, by_rank):
+    # patterns (1) and (2), read off every triple and its top-ranked vertex
+    mat = g.mat
+    for triple in itertools.combinations(g.vertices(), 3):
+        k = max(triple, key=by_rank.index)
+        i, j = (v for v in triple if v != k)
+        for s in (PLUS, MINUS):
+            if mat[i][k] == s and mat[j][k] == s and mat[i][j] != s:
+                return False
+            for a, b in ((i, j), (j, i)):
+                if mat[k][a] == s and mat[a][b] == SWAPPED[s] and mat[k][b] == ABSENT:
+                    return False
+    return True
+
+
+def test_is_valid_ordering_matches_pattern_definition():
+    cases = [(g, perm) for n in (3, 4) for g in all_graphs(n)
+             for perm in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(31)
+    for n in (5, 6):
+        for _ in range(600):
+            g = EdgeBicoloredGraph.from_digits(
+                n, rng.choices((ABSENT, PLUS, MINUS), (3, 1, 1), k=n * (n - 1) // 2))
+            cases.append((g, tuple(rng.sample(range(1, n + 1), n))))
+            nu = find_ordering(g)
+            if nu is not None:
+                cases.append((g, nu.by_rank))
+    valid = 0
+    for g, perm in cases:
+        want = _valid_by_definition(g, perm)
+        assert is_valid_ordering(g, Ordering.from_by_rank(perm)) == want, (g.digits(), perm)
+        valid += want
+    assert 0 < valid < len(cases)
+
+
+def _reference_ordering(g):
+    # the memoized backtracking search that the greedy peel replaces
+    n, mat = g.n, g.mat
+
+    def triple_bad(a, b, c):
+        # a = color(i,k), b = color(j,k), c = color(i,j); k is the top vertex
+        if a:
+            if a == b:
+                return c != a
+            if not b and c == SWAPPED[a]:
+                return True
+        return b != ABSENT and not a and c == SWAPPED[b]
+
+    def sink_ok(v, members):
+        others = [u for u in members if u != v]
+        return not any(triple_bad(mat[v][i], mat[v][j], mat[i][j])
+                       for i, j in itertools.combinations(others, 2))
+
+    memo = {}
+
+    def suffix(mask, count):
+        if count <= 2:
+            return [v + 1 for v in range(n) if mask >> v & 1]
+        if mask not in memo:
+            members = [v + 1 for v in range(n) if mask >> v & 1]
+            memo[mask] = None
+            for v in members:
+                if sink_ok(v, members):
+                    rest = suffix(mask ^ 1 << (v - 1), count - 1)
+                    if rest is not None:
+                        memo[mask] = rest + [v]
+                        break
+        return memo[mask]
+
+    order = suffix((1 << n) - 1, n)
+    return None if order is None else Ordering.from_by_rank(order).ranks
+
+
+def test_find_ordering_matches_memoized_search():
+    graphs = [c.representative for c in enumerate_classes(5)]
+    rng = random.Random(37)
+    for n, count in ((6, 1200), (7, 800)):
+        graphs += [EdgeBicoloredGraph.from_digits(
+            n, rng.choices((ABSENT, PLUS, MINUS), (3, 1, 1), k=n * (n - 1) // 2))
+            for _ in range(count)]
+    eliminable = 0
+    for g in graphs:
+        want = _reference_ordering(g)
+        nu = find_ordering(g)
+        assert (nu and nu.ranks) == want, g.digits()
+        eliminable += want is not None
+    assert 0 < eliminable < len(graphs)
 
 
 def test_is_valid_ordering_examples():

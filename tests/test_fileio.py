@@ -1,4 +1,4 @@
-"""Input parsing: file formats, override precedence, and rejection rules."""
+"""Input parsing: file formats and rejection rules."""
 
 import json
 import os
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import braidfree
+from braidfree.cli import main
 from braidfree.fileio import (InputError, load_arrangement, load_digraph,
                               load_graph, load_spec, parse_rational)
 
@@ -46,11 +47,6 @@ def test_load_spec_nested_and_flat(tmp_path):
     flat = write(tmp_path, "b.json", {
         "k": 1, "n": [0, 1, 0], "vertices": 3, "plus": [[1, 2]], "minus": []})
     assert load_spec(nested) == load_spec(flat)
-    # explicit arguments override the file
-    assert load_spec(nested, k=2).k == 2
-    assert load_spec(nested, n=[1, 1, 1]).n == (1, 1, 1)
-    with pytest.raises(InputError):
-        load_spec(nested, n=[1, 1])
 
 
 @pytest.mark.parametrize("graph", [["vertices", 3], "g.json", 3.5, None])
@@ -72,8 +68,33 @@ def test_parse_rational():
     assert parse_rational("2/5") == Fraction(2, 5)
     with pytest.raises(InputError):
         parse_rational("x")
-    with pytest.raises(InputError):
-        parse_rational(1.5)
+    for bad in (1.5, True):
+        with pytest.raises(InputError):
+            parse_rational(bad)
+
+
+GRAPH3 = {"vertices": 3, "plus": [[1, 2]], "minus": []}
+
+
+@pytest.mark.parametrize("command,flag,obj", [
+    ("classify", "--graph", {"vertices": True}),
+    ("classify", "--graph", {"vertices": 3, "plus": [[True, 2]]}),
+    ("classify", "--graph", {"vertices": 3, "minus": [[3, True]]}),
+    ("deform", "--digraph", {"vertices": True, "arcs": []}),
+    ("deform", "--digraph", {"vertices": 3, "arcs": [[2, True]]}),
+    ("oracle", "--spec", {"k": True, "graph": GRAPH3}),
+    ("oracle", "--spec", {"k": 1, "n": [0, True, 0], "graph": GRAPH3}),
+    ("oracle", "--spec", {"k": 1, "graph": {"vertices": True}}),
+    ("oracle", "--arrangement", {"dim": True, "hyperplanes": [{"normal": [1], "mult": 1}]}),
+    ("oracle", "--arrangement", {"dim": 2, "hyperplanes": [{"normal": [1, 0], "mult": True}]}),
+    ("oracle", "--arrangement", {"dim": 2, "hyperplanes": [{"normal": [True, 0], "mult": 1}]}),
+])
+def test_json_booleans_are_not_integers(tmp_path, capsys, command, flag, obj):
+    # bool is a subclass of int, so true/false must be refused explicitly
+    rc = main([command, flag, write(tmp_path, "in.json", obj)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_load_arrangement(tmp_path):
