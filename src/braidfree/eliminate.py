@@ -5,7 +5,9 @@ triple patterns below; the structural route checks chordality of both
 one-colored graphs, eliminability of every 4-vertex induced subgraph (a
 lookup in a 729-entry table built from the ordering route on first use), and
 the absence of the two induced obstruction shapes (mountains and hills).
-``structural_check`` is the one structural routine; ``is_eliminable`` runs
+``structural_check`` is the one structural routine: it decides the verdict
+by reading the conditions cheapest first and stopping at the first that
+fails, and finds any other witness on first read.  ``is_eliminable`` runs
 both routes and is the one place their agreement is asserted.  A
 disagreement is an internal bug, not a mathematical outcome.
 
@@ -369,30 +371,51 @@ def find_hill(g: EdgeBicoloredGraph):
 
 @dataclass(frozen=True)
 class StructuralReport:
-    """Outcome of the three structural conditions with explicit witnesses."""
+    """The three structural conditions of one graph, with explicit witnesses.
 
-    chordal_plus: bool
-    chordal_minus: bool
-    bad_quadruple: tuple | None
-    mountain: MountainWitness | None
-    hill: HillWitness | None
+    Each condition is found by its finder on first read and then kept, so a
+    caller that needs only the verdict pays only for the conditions
+    ``passes`` reads.  Every finder is deterministic and independent of the
+    others, so a witness is the same whenever it is read.
+    """
+
+    graph: EdgeBicoloredGraph
+
+    @functools.cached_property
+    def chordal_plus(self) -> bool:
+        return is_chordal_one_color(self.graph, PLUS)
+
+    @functools.cached_property
+    def chordal_minus(self) -> bool:
+        return is_chordal_one_color(self.graph, MINUS)
+
+    @functools.cached_property
+    def bad_quadruple(self) -> tuple | None:
+        return find_bad_quadruple(self.graph)
+
+    @functools.cached_property
+    def mountain(self) -> MountainWitness | None:
+        return find_mountain(self.graph)
+
+    @functools.cached_property
+    def hill(self) -> HillWitness | None:
+        return find_hill(self.graph)
 
     @property
     def passes(self) -> bool:
-        return (self.chordal_plus and self.chordal_minus
-                and self.bad_quadruple is None
+        """The conjunction of the conditions, read cheapest first and stopping
+        at the first that fails."""
+        return (self.bad_quadruple is None
+                and self.chordal_plus and self.chordal_minus
                 and self.mountain is None and self.hill is None)
 
 
 def structural_check(g: EdgeBicoloredGraph) -> StructuralReport:
-    """Full structural report (all three conditions evaluated, with witnesses)."""
-    return StructuralReport(
-        chordal_plus=is_chordal_one_color(g, PLUS),
-        chordal_minus=is_chordal_one_color(g, MINUS),
-        bad_quadruple=find_bad_quadruple(g),
-        mountain=find_mountain(g),
-        hill=find_hill(g),
-    )
+    """The structural report of g with its verdict decided; witnesses of
+    conditions the verdict did not need are found on first read."""
+    report = StructuralReport(g)
+    report.passes  # decide the verdict inside this call
+    return report
 
 
 def structurally_eliminable(g: EdgeBicoloredGraph) -> bool:

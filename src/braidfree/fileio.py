@@ -8,7 +8,9 @@ Arrangement:     {"dim": 3, "hyperplanes": [{"normal": [1,-1,0], "mult": 2}]}
                  (normal entries are integers or "p/q" strings)
 
 Pairs with equal endpoints and duplicated pairs are rejected, and so are
-JSON booleans wherever an integer is required.
+JSON booleans wherever an integer is required, a ``normal`` that is not a
+list, and a vertex count above ``MAX_FILE_VERTICES`` (checked before any
+graph storage is allocated).
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from fractions import Fraction
 from .graphs import DirectedGraph, EdgeBicoloredGraph, MINUS, PLUS
 from .multibraid import MultiBraidSpec
 from .oracle import MultiArrangement
+
+
+# the largest graph or digraph file read; a graph holds an (n+1)^2 color matrix
+MAX_FILE_VERTICES = 64
 
 
 class InputError(ValueError):
@@ -61,23 +67,30 @@ def _pairs(obj, field) -> list[tuple[int, int]]:
     return out
 
 
+def _vertex_count(obj, kind) -> int:
+    n = obj.get("vertices")
+    if not _is_int(n):
+        raise InputError(f"{kind} file needs an integer 'vertices' field")
+    if n > MAX_FILE_VERTICES:
+        raise InputError(f"{kind} file has {n} vertices; at most {MAX_FILE_VERTICES} are supported")
+    return n
+
+
 def load_graph(source) -> EdgeBicoloredGraph:
     obj = _load_obj(source)
-    if not _is_int(obj.get("vertices")):
-        raise InputError("graph file needs an integer 'vertices' field")
+    n = _vertex_count(obj, "graph")
     try:
         return EdgeBicoloredGraph.from_edges(
-            obj["vertices"], plus=_pairs(obj, "plus"), minus=_pairs(obj, "minus"))
+            n, plus=_pairs(obj, "plus"), minus=_pairs(obj, "minus"))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def load_digraph(source) -> DirectedGraph:
     obj = _load_obj(source)
-    if not _is_int(obj.get("vertices")):
-        raise InputError("digraph file needs an integer 'vertices' field")
+    n = _vertex_count(obj, "digraph")
     try:
-        return DirectedGraph.from_arcs(obj["vertices"], _pairs(obj, "arcs"))
+        return DirectedGraph.from_arcs(n, _pairs(obj, "arcs"))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -123,6 +136,8 @@ def load_arrangement(source) -> MultiArrangement:
     for h in raw:
         if not isinstance(h, dict) or "normal" not in h or "mult" not in h:
             raise InputError(f"malformed hyperplane entry: {h!r}")
+        if not isinstance(h["normal"], list):
+            raise InputError(f"hyperplane 'normal' must be a list, got {h['normal']!r}")
         normal = [parse_rational(x) for x in h["normal"]]
         if not _is_int(h["mult"]):
             raise InputError("hyperplane 'mult' must be an integer")

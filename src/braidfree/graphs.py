@@ -29,9 +29,11 @@ class UnsupportedSizeError(ValueError):
     """Input exceeds the exhaustive-search limits of this toolkit."""
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    """Unordered pairs {i,j}, 1 <= i < j <= n, in row-major upper-triangle order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+@functools.cache
+def pair_list(n: int) -> tuple[tuple[int, int], ...]:
+    """Unordered pairs {i,j}, 1 <= i < j <= n, in row-major upper-triangle
+    order (one shared tuple per n)."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -76,15 +78,14 @@ class EdgeBicoloredGraph:
 
     @classmethod
     def from_digits(cls, n: int, digits) -> "EdgeBicoloredGraph":
-        """Build from the upper-triangle color codes in row-major order."""
+        """Build from the upper-triangle color codes in row-major order (the
+        codes themselves are checked by ``__post_init__``)."""
         pairs = pair_list(n)
         digits = tuple(digits)
         if len(digits) != len(pairs):
             raise ValueError("digit string length does not match C(n,2)")
         mat = [[ABSENT] * (n + 1) for _ in range(n + 1)]
         for (i, j), d in zip(pairs, digits):
-            if d not in (ABSENT, PLUS, MINUS):
-                raise ValueError("unknown edge color code")
             mat[i][j] = mat[j][i] = d
         return cls(n, tuple(tuple(row) for row in mat))
 

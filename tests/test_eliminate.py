@@ -11,8 +11,9 @@ from braidfree import (EdgeBicoloredGraph, Ordering, color_swap,
                        is_eliminable, is_valid_ordering, iter_valid_orderings,
                        permute_graph, structural_check, structurally_eliminable,
                        tilde_degrees)
-from braidfree.eliminate import (HillWitness, MountainWitness, find_bad_quadruple,
-                                 find_hill, find_mountain, is_chordal_one_color)
+from braidfree.eliminate import (HillWitness, MountainWitness, StructuralReport,
+                                 find_bad_quadruple, find_hill, find_mountain,
+                                 is_chordal_one_color)
 from braidfree.graphs import ABSENT, MINUS, PLUS, SWAPPED, enumerate_classes
 
 MOUNTAIN = EdgeBicoloredGraph.from_edges(4, plus=[(2, 4)], minus=[(1, 2), (2, 3)])
@@ -40,18 +41,24 @@ def test_ordering_validation():
         Ordering((2, 1), (0, 1))
 
 
+def _triple_ok(mat, i, j, k):
+    # patterns (1) and (2) on the triple {i, j, k} with k on top
+    for s in (PLUS, MINUS):
+        if mat[i][k] == s and mat[j][k] == s and mat[i][j] != s:
+            return False
+        for a, b in ((i, j), (j, i)):
+            if mat[k][a] == s and mat[a][b] == SWAPPED[s] and mat[k][b] == ABSENT:
+                return False
+    return True
+
+
 def _valid_by_definition(g, by_rank):
     # patterns (1) and (2), read off every triple and its top-ranked vertex
-    mat = g.mat
     for triple in itertools.combinations(g.vertices(), 3):
         k = max(triple, key=by_rank.index)
         i, j = (v for v in triple if v != k)
-        for s in (PLUS, MINUS):
-            if mat[i][k] == s and mat[j][k] == s and mat[i][j] != s:
-                return False
-            for a, b in ((i, j), (j, i)):
-                if mat[k][a] == s and mat[a][b] == SWAPPED[s] and mat[k][b] == ABSENT:
-                    return False
+        if not _triple_ok(g.mat, i, j, k):
+            return False
     return True
 
 
@@ -243,6 +250,85 @@ def test_structural_witnesses():
     assert m.path in ((1, 2, 3), (3, 2, 1))
     h = structural_check(HILL).hill
     assert h is not None and (h.path, h.omega1, h.omega2) == ((1, 2), 3, 4)
+
+
+def _report_by_finders(g):
+    return (is_chordal_one_color(g, PLUS), is_chordal_one_color(g, MINUS),
+            find_bad_quadruple(g), find_mountain(g), find_hill(g))
+
+
+def test_structural_report_fields_equal_the_finders():
+    rng = random.Random(31)
+    graphs = list(all_graphs(4))
+    graphs += [EdgeBicoloredGraph.from_digits(6, [rng.randrange(3) for _ in range(15)])
+               for _ in range(2000)]
+    passing = 0
+    for g in graphs:
+        rep = structural_check(g)
+        verdict = rep.passes
+        cp, cm, quad, mountain, hill = want = _report_by_finders(g)
+        assert (rep.chordal_plus, rep.chordal_minus, rep.bad_quadruple,
+                rep.mountain, rep.hill) == want, g.digits()
+        assert verdict == (cp and cm and quad is None and mountain is None and hill is None)
+        assert rep == StructuralReport(g) and hash(rep) == hash(StructuralReport(g))
+        passing += verdict
+    assert 0 < passing < len(graphs)
+
+
+def test_structural_verdict_stops_at_the_first_failing_condition(monkeypatch):
+    import braidfree.eliminate as eliminate
+
+    def refuse(*args):
+        raise AssertionError("condition evaluated after the verdict was known")
+
+    for name in ("is_chordal_one_color", "find_mountain", "find_hill"):
+        monkeypatch.setattr(eliminate, name, refuse)
+    # the chordless Plus 4-cycle is itself a bad quadruple, the first condition read
+    res = is_eliminable(ONE_COLOR_4CYCLE)
+    assert not res.eliminable and res.structural.bad_quadruple == (1, 2, 3, 4)
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return find_hill(g)
+
+    monkeypatch.setattr(eliminate, "find_hill", counted)
+    assert res.structural.hill == find_hill(ONE_COLOR_4CYCLE)
+    assert res.structural.hill == find_hill(ONE_COLOR_4CYCLE)
+    assert calls == [ONE_COLOR_4CYCLE]
+
+
+def _eliminable_by_construction(rng, n):
+    # each new vertex draws edges to the earlier ones until it may take the
+    # top rank, so the identity ordering is valid by the pattern definition
+    mat = [[ABSENT] * (n + 1) for _ in range(n + 1)]
+    for k in range(2, n + 1):
+        while True:
+            for i in range(1, k):
+                mat[i][k] = mat[k][i] = rng.randrange(3)
+            if all(_triple_ok(mat, i, j, k) for i, j in itertools.combinations(range(1, k), 2)):
+                break
+    return EdgeBicoloredGraph(n, tuple(map(tuple, mat)))
+
+
+def test_route_agreement_on_six_and_seven_vertices():
+    rng = random.Random(37)
+    eliminable = 0
+    for n, count in ((6, 150), (7, 100)):
+        for t in range(count):
+            if t % 2:
+                g = EdgeBicoloredGraph.from_digits(
+                    n, [rng.randrange(3) for _ in range(n * (n - 1) // 2)])
+            else:
+                g = _eliminable_by_construction(rng, n)
+                assert _valid_by_definition(g, tuple(range(1, n + 1)))
+            res = is_eliminable(g)      # asserts that the routes agree
+            assert res.structural.passes == res.eliminable
+            if t % 2 == 0:
+                assert res.eliminable, g.digits()
+            eliminable += res.eliminable
+    assert 125 <= eliminable < 250
 
 
 def test_chordality_via_elimination():

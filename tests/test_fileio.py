@@ -11,8 +11,8 @@ import pytest
 
 import braidfree
 from braidfree.cli import main
-from braidfree.fileio import (InputError, load_arrangement, load_digraph,
-                              load_graph, load_spec, parse_rational)
+from braidfree.fileio import (MAX_FILE_VERTICES, InputError, load_arrangement,
+                              load_digraph, load_graph, load_spec, parse_rational)
 
 
 def write(tmp_path, name, obj):
@@ -109,6 +109,54 @@ def test_load_arrangement(tmp_path):
                 {"hyperplanes": [{"normal": [1], "mult": 1}]}):
         with pytest.raises(InputError):
             load_arrangement(write(tmp_path, "bad.json", obj))
+
+
+@pytest.mark.parametrize("normal", ["12", {"0": 1, "1": 0}, 7])
+def test_arrangement_normal_must_be_a_list(tmp_path, capsys, normal):
+    # a string used to be read character by character, an object by its keys
+    obj = {"dim": 2, "hyperplanes": [{"normal": normal, "mult": 1},
+                                     {"normal": [0, 1], "mult": 1}]}
+    rc = main(["oracle", "--arrangement", write(tmp_path, "a.json", obj)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: hyperplane 'normal' must be a list") and err.count("\n") == 1
+
+
+def _cli_under_memory_limit(args, limit_bytes=400 * 2 ** 20):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(braidfree.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "braidfree.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=limit)
+
+
+@pytest.mark.parametrize("command,flag,obj", [
+    ("classify", "--graph", {"vertices": 30000}),
+    ("oracle", "--spec", {"k": 1, "graph": {"vertices": 30000}}),
+    ("deform", "--digraph", {"vertices": 30000, "arcs": []}),
+])
+def test_vertex_count_is_capped_before_allocation(tmp_path, command, flag, obj):
+    # without the cap the (n+1)^2 color matrix is allocated first; the child
+    # runs under an address-space limit so that allocation cannot succeed
+    proc = _cli_under_memory_limit([command, flag, write(tmp_path, "big.json", obj)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"at most {MAX_FILE_VERTICES}" in proc.stderr
+
+
+def test_vertex_cap_admits_the_largest_file():
+    n = MAX_FILE_VERTICES
+    g = load_graph({"vertices": n, "plus": [[1, n]]})
+    assert g.n == n and g.plus_edges() == [(1, n)]
+    assert load_digraph({"vertices": n, "arcs": [[n, 1]]}).has_arc(n, 1)
+    for load, obj in ((load_graph, {"vertices": n + 1}),
+                      (load_digraph, {"vertices": n + 1, "arcs": []})):
+        with pytest.raises(InputError, match=f"at most {n}"):
+            load(obj)
 
 
 def test_missing_file_and_bad_json(tmp_path):

@@ -99,6 +99,15 @@ def test_from_edges_validation():
         EdgeBicoloredGraph.from_edges(3, plus=[(1, 2), (2, 1)])
 
 
+def test_from_digits_validation():
+    with pytest.raises(ValueError, match="^digit string length does not match C\\(n,2\\)$"):
+        EdgeBicoloredGraph.from_digits(3, (0, 1))
+    for bad in (3, -1, None):
+        with pytest.raises(ValueError, match="^unknown edge color code$"):
+            EdgeBicoloredGraph.from_digits(3, (0, bad, 1))
+    assert pair_list(4) is pair_list(4) and isinstance(pair_list(4), tuple)
+
+
 def test_canonical_key_orbit_constancy():
     rng = random.Random(11)
     for _ in range(30):
