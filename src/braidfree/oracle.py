@@ -4,8 +4,11 @@ For a central arrangement with multiplicities, the degree-d layer of the
 module of derivations theta with theta(alpha_H) divisible by alpha_H^m(H) is
 an exact linear-algebra problem: write theta(alpha_H) in coordinates whose
 first variable is alpha_H itself, and every monomial coefficient with
-alpha-exponent below m(H) must vanish.  All constraints are assembled over
-the integers and solved by fraction-free elimination, so dimensions,
+alpha-exponent below m(H) must vanish.  The substitution table behind this
+(``_expansion``) expands each power of the pivot variable once per
+hyperplane and degree, and every monomial with that pivot power reuses the
+terms, shifted by the rest of the monomial.  All constraints are assembled
+over the integers and solved by fraction-free elimination, so dimensions,
 generator counts, and determinant tests are certificates rather than
 numerical estimates.
 
@@ -207,37 +210,58 @@ def _expansion(normal: tuple, d: int, cap: int):
     y-monomials; only those with alpha-exponent below ``cap`` are kept, these
     being exactly the coefficients that divisibility by alpha^cap forces to
     zero.  Returns (row_count, entries) where entries[t] lists (row, coeff)
-    for the t-th x-monomial.  Rows are scaled by pivot^d so entries stay
-    integral for any integer normal.
+    for the t-th x-monomial.  Rows are numbered in order of first appearance
+    and scaled by pivot^d so entries stay integral for any integer normal.
+
+    With pivot coordinate x_p = (alpha - sum_{q != p} a_q x_q) / a_p, the
+    monomial x^mu expands as a_p^-mu_p times the multinomial expansion of
+    x_p^mu_p, shifted by the rest of mu.  So the terms, each an
+    alpha-exponent r0, a tail increment and a coefficient already scaled by
+    a_p^(d - mu_p), are built once per pivot power mu_p, and only for the
+    powers some monomial has.  A row (r0, tail) is keyed by one integer, its
+    digits in radix d + 1, so the key of a term of x^mu is the key of mu's
+    tail plus the term's increment.  With no other variable in the support
+    (a coordinate hyperplane) the only term is r0 = mu_p.
     """
     nv = len(normal)
     pivot = min((i for i, a in enumerate(normal) if a), key=lambda i: abs(normal[i]))
     apiv = normal[pivot]
-    others = [i for i in range(nv) if i != pivot]
-    support = [q for q, i in enumerate(others) if normal[i]]
-    row_index: dict = {}
-    entries = []
-    for mu in monomials(nv, d):
-        mp = mu[pivot]
-        base = tuple(mu[i] for i in others)
+    radix = d + 1
+    weight = [0] * nv       # the place value of each non-pivot exponent
+    for q, i in enumerate(i for i in range(nv) if i != pivot):
+        weight[i] = radix ** q
+    top = radix ** (nv - 1)  # the place value of r0
+    support = [(weight[i], -a) for i, a in enumerate(normal) if a and i != pivot]
+
+    def power_terms(mp: int) -> list:
         scale = apiv ** (d - mp)
         terms = []
-        for r0 in range(min(mp, cap - 1) + 1):
+        for r0 in range(0 if support else mp, min(mp, cap - 1) + 1):
             rest = mp - r0
             head = comb(mp, r0) * scale
             for comp in _compositions(rest, len(support)):
                 coeff = head
                 left = rest
-                tail = list(base)
-                for q, s in zip(support, comp):
+                inc = r0 * top
+                for (w, a), s in zip(support, comp):
                     if s:
-                        coeff *= comb(left, s) * (-normal[others[q]]) ** s
+                        coeff *= comb(left, s) * a ** s
                         left -= s
-                        tail[q] += s
-                key = (r0, tuple(tail))
-                row = row_index.setdefault(key, len(row_index))
-                terms.append((row, coeff))
-        entries.append(tuple(terms))
+                        inc += s * w
+                terms.append((inc, coeff))
+        return terms
+
+    powers: dict = {}
+    row_index: dict = {}
+    row_of = row_index.setdefault
+    entries = []
+    for mu in monomials(nv, d):
+        mp = mu[pivot]
+        terms = powers.get(mp)
+        if terms is None:
+            terms = powers[mp] = power_terms(mp)
+        base = sum(map(mul, mu, weight))
+        entries.append(tuple([(row_of(base + inc, len(row_index)), c) for inc, c in terms]))
     return len(row_index), tuple(entries)
 
 

@@ -1,5 +1,6 @@
 """Default reports compared byte for byte with stored golden reports."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -36,3 +37,28 @@ def test_spec_oracle_matches_golden(tmp_path, capsys):
     path.write_text(json.dumps(SPEC_K2), encoding="utf-8")
     out = stdout_of(capsys, ["--seed", "0", "oracle", "--spec", str(path), "--budget", "10"])
     assert out == (BENCH_GOLDEN / "spec_k2_budget10.json").read_text(encoding="utf-8")
+
+
+def test_full_spec_certificate_matches_golden(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_K2), encoding="utf-8")
+    out = stdout_of(capsys, ["oracle", "--spec", str(path)])
+    assert out == (BENCH_GOLDEN / "spec_k2.json").read_text(encoding="utf-8")
+
+
+# perfbench's independent reference, which writes the cone files it runs
+_SPEC = importlib.util.spec_from_file_location("perfbench_reference",
+                                               ROOT / "perfbench" / "reference.py")
+REFERENCE = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(REFERENCE)
+CONE_GOLDEN = json.loads((BENCH_GOLDEN / "cones.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(CONE_GOLDEN))
+def test_cone_certificate_matches_golden(tmp_path, capsys, key):
+    # the 4-vertex deformation cones at k=1, keyed [arcs, seed] as stored
+    arcs, seed = json.loads(key)
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(REFERENCE.cone_obj(4, arcs, 1)), encoding="utf-8")
+    out = stdout_of(capsys, ["--seed", str(seed), "oracle", "--arrangement", str(path)])
+    assert out == CONE_GOLDEN[key]

@@ -1,8 +1,10 @@
 """The exact derivation-module engine: graded dimensions, minimal generators,
 Saito certification, and freeness verdicts on classical fixtures."""
 
+import functools
 import itertools
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -372,11 +374,14 @@ def _count_fixtures():
                 normals.setdefault(tuple(primitive(v)), rng.randint(1, 3))
         if len(normals) >= 2:
             arrangements.append(MultiArrangement(dim, tuple(normals.items())))
+    return arrangements + _cone_arrangements()[3:6]
+
+
+def _cone_arrangements():
+    """The 4-vertex deformation cones at k=1 that perfbench's oracle-deep draws."""
     cones = json.loads((ROOT / "perfbench" / "data" / "cones.json").read_text(encoding="utf-8"))
-    for cone in cones[3:6]:
-        arcs = [tuple(arc) for arc in cone["arcs"]]
-        arrangements.append(build_and_cone(DeformationSpec(DirectedGraph.from_arcs(4, arcs), 1))[1])
-    return arrangements
+    return [build_and_cone(DeformationSpec(DirectedGraph.from_arcs(
+        4, [tuple(arc) for arc in cone["arcs"]]), 1))[1] for cone in cones]
 
 
 def test_new_generator_counts_match_a_basis_free_reference():
@@ -391,3 +396,163 @@ def test_new_generator_counts_match_a_basis_free_reference():
             assert cert.dimension_table[d] == len(layers[d][0])
             assert cert.new_generator_table[d] == _reference_new_generators(arr, layers, d)
     assert minimal_generators(nonfree, budget=5).new_generator_table[5] == 4
+
+
+# ---------------------------------------------------------------------------
+# the substitution table and its two readers
+
+def _reference_expansion(normal, d, cap):
+    """The substitution table built monomial by monomial: for every x^mu,
+    the multinomial expansion of x_p^mu_p with every alpha-exponent below
+    ``cap`` and every composition of the rest over the support."""
+    nv = len(normal)
+    pivot = min((i for i, a in enumerate(normal) if a), key=lambda i: abs(normal[i]))
+    apiv = normal[pivot]
+    others = [i for i in range(nv) if i != pivot]
+    support = [q for q, i in enumerate(others) if normal[i]]
+    row_index = {}
+    entries = []
+    for mu in monomials(nv, d):
+        mp = mu[pivot]
+        base = tuple(mu[i] for i in others)
+        scale = apiv ** (d - mp)
+        terms = []
+        for r0 in range(min(mp, cap - 1) + 1):
+            rest = mp - r0
+            head = math.comb(mp, r0) * scale
+            for comp in itertools.product(range(rest + 1), repeat=len(support)):
+                if sum(comp) != rest:
+                    continue
+                coeff = head
+                left = rest
+                tail = list(base)
+                for q, s in zip(support, comp):
+                    if s:
+                        coeff *= math.comb(left, s) * (-normal[others[q]]) ** s
+                        left -= s
+                        tail[q] += s
+                row = row_index.setdefault((r0, tuple(tail)), len(row_index))
+                terms.append((row, coeff))
+        entries.append(tuple(terms))
+    return len(row_index), tuple(entries)
+
+
+def _expansion_cases():
+    rng = random.Random(29)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, -5, 7, -7)
+    cases = [((1,), 0, 1), ((-3,), 5, 6), ((2, -2, 3), 4, 2), ((0, -3, 3, 0, 3), 6, 7),
+             ((0, 0, 0, 0, 5), 8, 3), ((-2, 4, 0, -6, 2), 7, 1), ((5, -7, 3, -2, 7), 8, 9)]
+    while len(cases) < 400:
+        normal = tuple(rng.choice(entries) for _ in range(rng.randint(1, 5)))
+        if any(normal):
+            d = rng.randint(0, 8)
+            cases.append((normal, d, rng.randint(1, d + 1)))
+    return cases
+
+
+def test_expansion_matches_the_composition_loop():
+    # equal element for element: the row order is the order of first
+    # appearance, which ReducedSpan's stable sort and kernel basis depend on
+    for normal, d, cap in _expansion_cases():
+        want = _reference_expansion(normal, d, cap)
+        assert oracle._expansion.__wrapped__(normal, d, cap) == want, (normal, d, cap)
+        assert oracle._expansion(normal, d, cap) == want
+
+
+def test_assembled_rows_match_the_composition_loop(monkeypatch):
+    spec_k2 = braid_spec(2, (0,) * 5, plus=[(1, 2), (1, 3)], minus=[(3, 4)], count=5)
+    cases = [(oracle._essential_form(to_arrangement(spec_k2)).ess, range(11))]
+    cases += [(cone, (0, 1, 4, 6)) for cone in _cone_arrangements()]
+    reference = functools.lru_cache(maxsize=None)(_reference_expansion)
+    for arr, degrees in cases:
+        for d in degrees:
+            got = oracle._assemble(arr, d)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_expansion", reference)
+                assert got == oracle._assemble(arr, d)
+
+
+def _count_comb(monkeypatch):
+    calls = []
+    comb = oracle.comb
+
+    def spy(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(oracle, "comb", spy)
+    return calls
+
+
+def test_high_multiplicity_line_takes_one_term_per_degree(monkeypatch):
+    # with no other variable in the support only alpha^mu_p itself is a
+    # term; building every comb(mu_p, r0) made the scan quadratic or worse
+    calls = _count_comb(monkeypatch)
+    assert oracle._expansion.__wrapped__((1,), 2000, 2000) == (0, ((),))
+    assert oracle._expansion.__wrapped__((-3,), 2000, 2001) == (1, (((0, 1),),))
+    assert oracle._expansion.__wrapped__((0, 2, 0), 40, 3) == _reference_expansion((0, 2, 0), 40, 3)
+    assert len(calls) <= 2 + 3
+    calls.clear()
+    cert = freeness_verdict(MultiArrangement(1, (((1,), 1000),)))
+    assert (cert.status, cert.generator_degrees) == (FREE, (1000,))
+    assert len(calls) < 5 * 1001        # a few per degree, not one per r0
+
+
+def _reference_divisible(poly, normal, mult):
+    """alpha^mult divides poly, by repeated exact division by alpha in its
+    pivot variable x_p over Q: each step cancels a term of highest
+    x_p-degree, and a nonzero remainder free of x_p means no."""
+    p = max(range(len(normal)), key=lambda i: (abs(normal[i]), -i))
+    poly = {e: Fraction(c) for e, c in poly.items() if c}
+    for _ in range(mult):
+        quotient = {}
+        while poly:
+            e = max(poly, key=lambda e: e[p])
+            if not e[p]:
+                return False
+            c = poly[e] / normal[p]
+            q = e[:p] + (e[p] - 1,) + e[p + 1:]
+            quotient[q] = c
+            for i, a in enumerate(normal):
+                if a:
+                    key = q[:i] + (q[i] + 1,) + q[i + 1:]
+                    v = poly.get(key, 0) - c * a
+                    if v:
+                        poly[key] = v
+                    else:
+                        poly.pop(key, None)
+        poly = quotient
+    return True
+
+
+def _random_poly(rng, nv, d, terms):
+    monos = monomials(nv, d)
+    return {rng.choice(monos): rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(terms)}
+
+
+def test_poly_vanishes_mod_power_matches_division():
+    rng = random.Random(31)
+    normals = [(1, -1), (2, -3), (0, 3), (-2, 1, 0), (2, 0, -3), (1, -1, 2), (3, -2, 5),
+               (0, 0, 1, -1), (1, 0, -1, -2), (0, -2, 0, 0, 1), (2, -1, 0, 3, -1)]
+    outcomes = set()
+    for case in range(240):
+        normal = normals[case % len(normals)]
+        nv = len(normal)
+        m = rng.randint(1, 4)
+        q = _random_poly(rng, nv, rng.randint(0, 3), rng.randint(1, 4))
+        poly = oracle._poly_mul(q, oracle._linear_form_power(normal, m))
+        if not poly:
+            continue
+        assert oracle._poly_vanishes_mod_power(poly, normal, m)
+        assert _reference_divisible(poly, normal, m)
+        d = sum(next(iter(poly)))
+        for mult in (m, m + 1, rng.randint(1, d + 2)):
+            bumped = dict(poly)
+            mu = rng.choice(monomials(nv, d))
+            bumped[mu] = bumped.get(mu, 0) + rng.choice((-1, 1, 4))
+            bumped = {e: c for e, c in bumped.items() if c}
+            for p in (poly, bumped):
+                want = _reference_divisible(p, normal, mult)
+                assert oracle._poly_vanishes_mod_power(p, normal, mult) == want
+                outcomes.add(want)
+    assert outcomes == {True, False}
