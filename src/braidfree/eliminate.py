@@ -244,11 +244,9 @@ def complete_filtration(g: EdgeBicoloredGraph, nu: Ordering) -> Filtration:
             mat[l][j] = mat[j][l] = ABSENT
     additions = tuple(reversed(deletions))
 
-    build = [[ABSENT] * (n + 1) for _ in range(n + 1)]
-    steps = [EdgeBicoloredGraph(n, tuple(tuple(r) for r in build))]
+    steps = [EdgeBicoloredGraph.from_edges(n)]
     for (i, j), color in additions:
-        build[i][j] = build[j][i] = color
-        step = EdgeBicoloredGraph(n, tuple(tuple(r) for r in build))
+        step = steps[-1]._with_edge(i, j, color)
         if not is_valid_ordering(step, nu):
             raise AssertionError("filtration stage lost the elimination ordering")
         steps.append(step)
@@ -369,6 +367,26 @@ def find_hill(g: EdgeBicoloredGraph):
     return None
 
 
+class _found_once:
+    """A condition found on its first read and kept in the instance
+    ``__dict__``, where later reads find it before this descriptor.  It is
+    ``functools.cached_property`` without the lock that Python 3.11's takes
+    on every first read."""
+
+    def __init__(self, find):
+        self.find = find
+        self.__doc__ = find.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        value = report.__dict__[self.name] = self.find(report)
+        return value
+
+
 @dataclass(frozen=True)
 class StructuralReport:
     """The three structural conditions of one graph, with explicit witnesses.
@@ -381,23 +399,23 @@ class StructuralReport:
 
     graph: EdgeBicoloredGraph
 
-    @functools.cached_property
+    @_found_once
     def chordal_plus(self) -> bool:
         return is_chordal_one_color(self.graph, PLUS)
 
-    @functools.cached_property
+    @_found_once
     def chordal_minus(self) -> bool:
         return is_chordal_one_color(self.graph, MINUS)
 
-    @functools.cached_property
+    @_found_once
     def bad_quadruple(self) -> tuple | None:
         return find_bad_quadruple(self.graph)
 
-    @functools.cached_property
+    @_found_once
     def mountain(self) -> MountainWitness | None:
         return find_mountain(self.graph)
 
-    @functools.cached_property
+    @_found_once
     def hill(self) -> HillWitness | None:
         return find_hill(self.graph)
 

@@ -3,23 +3,38 @@ canonical forms and exhaustive census of small graphs.
 
 Vertices are 1-based throughout.  A coloring is total: every unordered pair
 {i,j} carries exactly one of Absent/Plus/Minus, so "no edge" is a first-class
-value and pattern checks are direct lookups.  Canonical keys are computed by
-brute-force minimisation over all vertex relabelings, optionally composed
-with the global Plus/Minus swap; this is exact and fast enough at desk scale
-(the largest exhaustive census is on 5 vertices).
+value and pattern checks are direct lookups.
+
+Every graph carries its bitmask ``adjacency``, built in the same pass that
+fills its color matrix.  Each input is validated in the form it arrives:
+``EdgeBicoloredGraph(n, mat)`` checks the matrix (shape, zero diagonal,
+symmetry and codes), ``from_edges`` checks each edge before handing that
+constructor its matrix, and ``from_digits`` checks only n, the digit count
+and the codes.  A graph derived from a valid one (``from_digits`` after its
+checks, ``induced_subgraph``, ``permute_graph``, ``color_swap``, and each
+step of ``eliminate.complete_filtration``, which colors one absent pair of
+the previous step) is valid by construction and is built by the private
+``EdgeBicoloredGraph._trusted``, which checks nothing.
+
+Canonical keys are computed by brute-force minimisation over all vertex
+relabelings, optionally composed with the global Plus/Minus swap; this is
+exact and fast enough at desk scale (the largest exhaustive census is on 5
+vertices).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 # edge color codes
 ABSENT, PLUS, MINUS = 0, 1, 2
 
 # color involution: Plus <-> Minus, Absent fixed
 SWAPPED = (ABSENT, MINUS, PLUS)
+_CODES = frozenset((ABSENT, PLUS, MINUS))   # for from_digits' one-call code check
 
 MAX_CANONICAL_VERTICES = 7   # brute-force minimum over n! relabelings
 MAX_CENSUS_VERTICES = 5      # exhaustive census over 3^C(n,2) colorings
@@ -36,30 +51,77 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+@functools.cache
+def _digit_plan(n: int):
+    """How a digit string becomes a graph on n vertices: one getter per
+    matrix row that reads the row off the digits followed by one extra
+    ABSENT (the padding and the diagonal), and per pair (i, j) the bits
+    1 << i and 1 << j."""
+    pairs = pair_list(n)
+    slot = {}
+    for t, (i, j) in enumerate(pairs):
+        slot[i, j] = slot[j, i] = t
+    rows = tuple(itemgetter(*(slot.get((i, j), len(pairs)) for j in range(n + 1)))
+                 for i in range(n + 1))
+    return rows, tuple((i, j, 1 << i, 1 << j) for i, j in pairs)
+
+
 @dataclass(frozen=True)
 class EdgeBicoloredGraph:
     """A graph on vertices 1..n whose edges split into Plus and Minus classes.
 
     ``mat[i][j]`` holds the color code of the pair {i,j} (row and column 0 are
-    unused padding); the matrix is symmetric with zero diagonal.
+    unused padding); the matrix is symmetric with zero diagonal.  Bit u of
+    ``adjacency[c][v]`` is set when u != v and the pair {v,u} has color code
+    c (index 0 of each row is unused); it is derived from ``mat``, so it
+    takes no part in equality, hashing or ``repr``.
     """
 
     n: int
     mat: tuple[tuple[int, ...], ...]
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n, mat = self.n, self.mat
+        if n < 1:
             raise ValueError("vertex count must be positive")
-        if len(self.mat) != self.n + 1 or any(len(row) != self.n + 1 for row in self.mat):
+        if len(mat) != n + 1 or any(len(row) != n + 1 for row in mat):
             raise ValueError("color matrix has wrong shape")
-        for i in range(1, self.n + 1):
-            if self.mat[i][i] != ABSENT:
+        masks = [[0] * (n + 1) for _ in range(3)]
+        for i in range(1, n + 1):
+            row = mat[i]
+            if row[i] != ABSENT:
                 raise ValueError("self-loops are not allowed")
-            for j in range(i + 1, self.n + 1):
-                if self.mat[i][j] != self.mat[j][i]:
+            for j in range(i + 1, n + 1):
+                c = row[j]
+                if c != mat[j][i]:
                     raise ValueError("color matrix must be symmetric")
-                if self.mat[i][j] not in (ABSENT, PLUS, MINUS):
+                if c not in (ABSENT, PLUS, MINUS):
                     raise ValueError("unknown edge color code")
+                masks[c][i] |= 1 << j
+                masks[c][j] |= 1 << i
+        object.__setattr__(self, "adjacency", tuple(map(tuple, masks)))
+
+    @classmethod
+    def _trusted(cls, n: int, mat, adjacency) -> "EdgeBicoloredGraph":
+        """A graph from a color matrix and the masks that match it, both
+        valid by construction: nothing is checked."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, mat=mat, adjacency=adjacency)
+        return g
+
+    @classmethod
+    def _from_valid_digits(cls, n: int, digits: tuple) -> "EdgeBicoloredGraph":
+        """``from_digits`` after its checks: the matrix rows and the masks in
+        one pass over the digits."""
+        rows, bits = _digit_plan(n)
+        padded = (*digits, ABSENT)
+        masks = [[0] * (n + 1) for _ in range(3)]
+        for (i, j, bit_i, bit_j), c in zip(bits, digits):
+            color = masks[c]
+            color[i] |= bit_j
+            color[j] |= bit_i
+        return cls._trusted(n, tuple([row(padded) for row in rows]), tuple(map(tuple, masks)))
 
     @classmethod
     def from_edges(cls, n: int, plus=(), minus=()) -> "EdgeBicoloredGraph":
@@ -78,16 +140,36 @@ class EdgeBicoloredGraph:
 
     @classmethod
     def from_digits(cls, n: int, digits) -> "EdgeBicoloredGraph":
-        """Build from the upper-triangle color codes in row-major order (the
-        codes themselves are checked by ``__post_init__``)."""
-        pairs = pair_list(n)
+        """Build from the upper-triangle color codes in row-major order.
+
+        Only n, the number of digits and the codes are checked: a matrix
+        built from them is valid by construction."""
+        if n < 1:
+            raise ValueError("vertex count must be positive")
         digits = tuple(digits)
-        if len(digits) != len(pairs):
+        if len(digits) != len(pair_list(n)):
             raise ValueError("digit string length does not match C(n,2)")
-        mat = [[ABSENT] * (n + 1) for _ in range(n + 1)]
-        for (i, j), d in zip(pairs, digits):
-            mat[i][j] = mat[j][i] = d
-        return cls(n, tuple(tuple(row) for row in mat))
+        try:
+            valid = _CODES.issuperset(digits)
+        except TypeError:   # an unhashable code
+            valid = False
+        if not valid:
+            raise ValueError("unknown edge color code")
+        return cls._from_valid_digits(n, digits)
+
+    def _with_edge(self, i: int, j: int, color: int) -> "EdgeBicoloredGraph":
+        """This graph with its absent pair {i,j} given ``color``: rows i and
+        j are rebuilt, and the pair's bits move from ABSENT to ``color``.
+        The caller guarantees the pair is absent and the color valid."""
+        mat = list(self.mat)
+        adj = [list(masks) for masks in self.adjacency]
+        for a, b in ((i, j), (j, i)):
+            row = list(mat[a])
+            row[b] = color
+            mat[a] = tuple(row)
+            adj[ABSENT][a] ^= 1 << b
+            adj[color][a] |= 1 << b
+        return self._trusted(self.n, tuple(mat), tuple(map(tuple, adj)))
 
     def digits(self) -> tuple[int, ...]:
         """Upper-triangle color codes in row-major order (the key serialization)."""
@@ -105,18 +187,6 @@ class EdgeBicoloredGraph:
     def minus_edges(self) -> list[tuple[int, int]]:
         return self.edges(MINUS)
 
-    @functools.cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Bitmask adjacency: bit u of ``adjacency[c][v]`` is set when u != v
-        and the pair {v,u} has color code c (index 0 of each row is unused)."""
-        masks = [[0] * (self.n + 1) for _ in range(3)]
-        for v in self.vertices():
-            row = self.mat[v]
-            for u in range(v + 1, self.n + 1):
-                masks[row[u]][v] |= 1 << u
-                masks[row[u]][u] |= 1 << v
-        return tuple(map(tuple, masks))
-
     def edge_balance(self) -> int:
         """|E^+| - |E^-|."""
         d = self.digits()
@@ -131,18 +201,17 @@ def induced_subgraph(g: EdgeBicoloredGraph, subset) -> EdgeBicoloredGraph:
     if vs[0] < 1 or vs[-1] > g.n:
         raise ValueError("vertex out of range")
     m = len(vs)
-    mat = [[ABSENT] * (m + 1) for _ in range(m + 1)]
-    for a in range(m):
-        row = g.mat[vs[a]]
-        for b in range(a + 1, m):
-            mat[a + 1][b + 1] = mat[b + 1][a + 1] = row[vs[b]]
-    return EdgeBicoloredGraph(m, tuple(tuple(row) for row in mat))
+    vs = (0, *vs)   # vs[a] is the vertex relabeled a
+    mat = g.mat
+    return EdgeBicoloredGraph._from_valid_digits(
+        m, tuple(mat[vs[a]][vs[b]] for a, b in pair_list(m)))
 
 
 def color_swap(g: EdgeBicoloredGraph) -> EdgeBicoloredGraph:
     """Exchange Plus and Minus on every edge (an involution)."""
     mat = tuple(tuple(SWAPPED[c] for c in row) for row in g.mat)
-    return EdgeBicoloredGraph(g.n, mat)
+    absent, plus, minus = g.adjacency
+    return EdgeBicoloredGraph._trusted(g.n, mat, (absent, minus, plus))
 
 
 def permute_graph(g: EdgeBicoloredGraph, perm) -> EdgeBicoloredGraph:
@@ -155,13 +224,12 @@ def permute_graph(g: EdgeBicoloredGraph, perm) -> EdgeBicoloredGraph:
         perm = (0, *perm)
     if sorted(perm[1:]) != list(g.vertices()):
         raise ValueError("not a permutation of the vertices")
-    n = g.n
-    mat = [[ABSENT] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            c = g.mat[i][j]
-            mat[perm[i]][perm[j]] = mat[perm[j]][perm[i]] = c
-    return EdgeBicoloredGraph(n, tuple(tuple(row) for row in mat))
+    source = [0] * (g.n + 1)    # source[perm[i]] = i
+    for i in g.vertices():
+        source[perm[i]] = i
+    mat = g.mat
+    return EdgeBicoloredGraph._from_valid_digits(
+        g.n, tuple(mat[source[p]][source[q]] for p, q in pair_list(g.n)))
 
 
 def _pair_slot_maps(n: int) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@ characterization, including the agreement between the two routes."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -297,6 +298,42 @@ def test_structural_verdict_stops_at_the_first_failing_condition(monkeypatch):
     assert res.structural.hill == find_hill(ONE_COLOR_4CYCLE)
     assert res.structural.hill == find_hill(ONE_COLOR_4CYCLE)
     assert calls == [ONE_COLOR_4CYCLE]
+
+
+def test_each_condition_is_found_at_most_once_per_report(monkeypatch):
+    import braidfree.eliminate as eliminate
+
+    calls = Counter()
+
+    def counted(finder):
+        def count(*args):
+            calls[finder.__name__, args] += 1
+            return finder(*args)
+        return count
+
+    for finder in (is_chordal_one_color, find_bad_quadruple, find_mountain, find_hill):
+        monkeypatch.setattr(eliminate, finder.__name__, counted(finder))
+    rng = random.Random(41)
+    graphs = [MOUNTAIN, HILL, ONE_COLOR_4CYCLE, *all_graphs(3)]
+    graphs += [_eliminable_by_construction(rng, 6) for _ in range(20)]
+    graphs += [EdgeBicoloredGraph.from_digits(6, [rng.randrange(3) for _ in range(15)])
+               for _ in range(100)]
+    verdicts = set()
+    for g in graphs:
+        calls.clear()
+        report = structural_check(g)
+        decided = +calls
+        assert decided, g.digits()   # the verdict is decided inside the call
+        verdict = report.passes
+        for _ in range(3):
+            assert report.passes == verdict
+        assert calls == decided, g.digits()
+        verdicts.add(verdict)
+        for _ in range(3):
+            assert (report.chordal_plus, report.chordal_minus, report.bad_quadruple,
+                    report.mountain, report.hill) == _report_by_finders(g)
+        assert len(calls) == 5 and set(calls.values()) == {1}, g.digits()
+    assert verdicts == {True, False}
 
 
 def _eliminable_by_construction(rng, n):

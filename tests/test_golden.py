@@ -32,6 +32,16 @@ def test_census_matches_golden(capsys, argv, golden):
     assert stdout_of(capsys, argv) == golden.read_text(encoding="utf-8")
 
 
+CENSUS6_GOLDEN = json.loads((BENCH_GOLDEN / "census6.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampling_census_matches_golden(capsys, seed):
+    # the seeded 10 000-sample 6-vertex census, keyed by seed as stored
+    out = stdout_of(capsys, ["--seed", str(seed), "census", "--vertices", "6"])
+    assert out == CENSUS6_GOLDEN[str(seed)]
+
+
 def test_spec_oracle_matches_golden(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(SPEC_K2), encoding="utf-8")

@@ -8,8 +8,9 @@ import pytest
 
 from braidfree import (MINUS, PLUS, DirectedGraph, EdgeBicoloredGraph,
                        UnsupportedSizeError, canonical_key, color_swap,
-                       enumerate_classes, induced_subgraph, permute_graph)
-from braidfree.graphs import pair_list
+                       complete_filtration, enumerate_classes, find_ordering,
+                       induced_subgraph, permute_graph)
+from braidfree.graphs import ABSENT, SWAPPED, pair_list
 
 
 def burnside_class_count(n, include_swap):
@@ -102,10 +103,83 @@ def test_from_edges_validation():
 def test_from_digits_validation():
     with pytest.raises(ValueError, match="^digit string length does not match C\\(n,2\\)$"):
         EdgeBicoloredGraph.from_digits(3, (0, 1))
-    for bad in (3, -1, None):
+    for bad in (3, -1, None, [1], 1.5):
         with pytest.raises(ValueError, match="^unknown edge color code$"):
             EdgeBicoloredGraph.from_digits(3, (0, bad, 1))
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="^vertex count must be positive$"):
+            EdgeBicoloredGraph.from_digits(n, ())
     assert pair_list(4) is pair_list(4) and isinstance(pair_list(4), tuple)
+
+
+def _reference_masks(mat):
+    """Bitmask adjacency recomputed from a color matrix by a plain loop."""
+    n = len(mat) - 1
+    masks = [[0] * (n + 1) for _ in range(3)]
+    for v in range(1, n + 1):
+        for u in range(v + 1, n + 1):
+            masks[mat[v][u]][v] |= 1 << u
+            masks[mat[v][u]][u] |= 1 << v
+    return tuple(map(tuple, masks))
+
+
+def _checked(n, colored):
+    """The graph on n vertices with each (i, j, color) of ``colored`` and
+    every other pair absent, built by the matrix-checking constructor."""
+    mat = [[ABSENT] * (n + 1) for _ in range(n + 1)]
+    for i, j, color in colored:
+        mat[i][j] = mat[j][i] = color
+    return EdgeBicoloredGraph(n, tuple(map(tuple, mat)))
+
+
+def _assert_same_graph(built, ref):
+    assert built == ref and hash(built) == hash(ref) and repr(built) == repr(ref)
+    assert built.mat == ref.mat
+    assert built.adjacency == ref.adjacency == _reference_masks(ref.mat)
+
+
+def _check_every_path(n, digits, rng):
+    """The graph of ``digits``, and each graph built from it, equal the
+    graphs the matrix-checking constructor builds from the same colors;
+    returns whether a filtration was checked."""
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    g = EdgeBicoloredGraph.from_digits(n, digits)
+    _assert_same_graph(g, _checked(n, ((i, j, d) for (i, j), d in zip(upper, digits))))
+    _assert_same_graph(color_swap(g), _checked(n, ((i, j, SWAPPED[g.mat[i][j]])
+                                                   for i, j in upper)))
+    perm = (0, *rng.sample(range(1, n + 1), n))
+    _assert_same_graph(permute_graph(g, perm),
+                       _checked(n, ((perm[i], perm[j], g.mat[i][j]) for i, j in upper)))
+    vs = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    m = len(vs)
+    _assert_same_graph(induced_subgraph(g, vs), _checked(
+        m, ((a, b, g.mat[vs[a - 1]][vs[b - 1]])
+            for a in range(1, m + 1) for b in range(a + 1, m + 1))))
+    nu = find_ordering(g)
+    if nu is None:
+        return False
+    filtration = complete_filtration(g, nu)
+    for k, step in enumerate(filtration.steps):
+        _assert_same_graph(step, _checked(
+            n, ((i, j, color) for (i, j), color in filtration.added_edges[:k])))
+    return True
+
+
+def test_every_construction_path_matches_the_checked_constructor():
+    rng = random.Random(43)
+    filtrations = 0
+    for digits in itertools.product((ABSENT, PLUS, MINUS), repeat=6):
+        filtrations += _check_every_path(4, digits, rng)
+    assert filtrations == 471   # the eliminable four-vertex colorings
+    for n in range(1, 8):
+        filtrations = 0
+        for t in range(60):
+            # every other sample is sparse, so that some of the larger graphs
+            # are eliminable and their filtrations are checked as well
+            codes = (ABSENT, PLUS, MINUS) if t % 2 else (ABSENT,) * 4 + (PLUS, MINUS)
+            digits = [rng.choice(codes) for _ in range(n * (n - 1) // 2)]
+            filtrations += _check_every_path(n, digits, rng)
+        assert filtrations > 0, n
 
 
 def test_canonical_key_orbit_constancy():
