@@ -34,7 +34,8 @@ ABSENT, PLUS, MINUS = 0, 1, 2
 
 # color involution: Plus <-> Minus, Absent fixed
 SWAPPED = (ABSENT, MINUS, PLUS)
-_CODES = frozenset((ABSENT, PLUS, MINUS))   # for from_digits' one-call code check
+_CODES = frozenset((ABSENT, PLUS, MINUS))
+_CODE_TYPES = frozenset((int,))   # 1.0 and True equal 1, but are not codes
 
 MAX_CANONICAL_VERTICES = 7   # brute-force minimum over n! relabelings
 MAX_CENSUS_VERTICES = 5      # exhaustive census over 3^C(n,2) colorings
@@ -96,7 +97,7 @@ class EdgeBicoloredGraph:
                 c = row[j]
                 if c != mat[j][i]:
                     raise ValueError("color matrix must be symmetric")
-                if c not in (ABSENT, PLUS, MINUS):
+                if type(c) is not int or c not in _CODES:
                     raise ValueError("unknown edge color code")
                 masks[c][i] |= 1 << j
                 masks[c][j] |= 1 << i
@@ -150,7 +151,7 @@ class EdgeBicoloredGraph:
         if len(digits) != len(pair_list(n)):
             raise ValueError("digit string length does not match C(n,2)")
         try:
-            valid = _CODES.issuperset(digits)
+            valid = _CODES.issuperset(digits) and _CODE_TYPES.issuperset(map(type, digits))
         except TypeError:   # an unhashable code
             valid = False
         if not valid:

@@ -16,10 +16,13 @@ forces its column to zero, so that column is deleted from every later row of
 the batch before the row is reduced (a row left empty is skipped).  Reducing
 against a one-entry pivot row does exactly that deletion, so the row space,
 the pivot columns and the kernel vectors are those of inserting the rows one
-by one; only the pivot table is sparser.  This matters for the oracle: in
-its essential coordinates a braid hyperplane x_i - x_n becomes a coordinate
-hyperplane whose constraint rows have one entry each, and so do the unit
-rows that fence off the product span's pivot columns.  The batch stops once
+by one; only the pivot table is sparser.  The oracle leaves out, before it
+builds a batch, the columns it knows to be zero: those of a coordinate
+hyperplane's one-entry rows (in essential coordinates a braid hyperplane
+x_i - x_n becomes a coordinate hyperplane) and the pivot columns of its
+product span.  The single-entry rows that reach this batch are the rows
+that striking those columns left with one entry, such as a row of
+y_i - y_j whose y_j entry fell on a struck column.  The batch stops once
 the rank reaches the column count: every later row then lies in the span,
 so the rank, the pivot columns and the (empty) kernel are those of
 inserting every row.

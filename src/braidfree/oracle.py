@@ -30,13 +30,16 @@ is integer arithmetic.
 
 One per-degree scan computes every graded piece: ``graded_dimension``,
 ``minimal_generators`` and ``freeness_verdict`` all read its tables.  At
-each degree it spans the products of the earlier generators, then
-eliminates the constraint rows once, together with a unit row on each pivot
-column of that span, so the columns the products already fill drop out of
-the elimination and every kernel vector is a new generator (see
-``_scan_degree``).  The rank-2 routines at the end, the tests' reference
-for the closed forms in ``multibraid``, read their exponents off one
-certified basis.
+each degree it spans the products of the earlier generators.  The new
+generators are the layer's elements that vanish on that span's pivot
+columns, and a coordinate hyperplane y_i = 0 of multiplicity m forces every
+coefficient of y^mu d/dy_i with mu_i < m to vanish too.  Those "dead"
+columns are left out before the constraint rows are assembled, and the rows
+are eliminated once on the live columns that remain: every kernel vector is
+a new generator, the same as eliminating the whole system would give, and
+each is checked against every hyperplane (see ``_scan_degree``).  The
+rank-2 routines at the end, the tests' reference for the closed forms in
+``multibraid``, read their exponents off one certified basis.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ NONFREE = "NonFree"
 INCONCLUSIVE = "Inconclusive"
 
 MAX_AMBIENT_DIM = 5
-_MAX_UNKNOWNS = 120_000   # guard on dim * #monomials before assembling
+_MAX_UNKNOWNS = 120_000   # guard on dim * #monomials before each degree's scan
 
 
 @dataclass(frozen=True)
@@ -265,29 +268,28 @@ def _expansion(normal: tuple, d: int, cap: int):
     return len(row_index), tuple(entries)
 
 
-def _assemble(a: MultiArrangement, d: int):
+def _assemble(a: MultiArrangement, d: int, live=None):
     """Sparse constraint rows ``{column: int}`` over the unknown coefficient
     vector of a degree-d derivation (columns are coordinate-major: column
-    i*M + t is the t-th monomial of the i-th component)."""
+    i*M + t is the t-th monomial of the i-th component).  Given ``live``, an
+    increasing list of columns, every other column is left out, column
+    ``live[k]`` becomes column k, and rows left empty are dropped; returns
+    the rows and their column count."""
     nv = a.dim
     M = _mono_count(nv, d)
-    cols = nv * M
-    if cols > _MAX_UNKNOWNS:
-        raise UnsupportedSizeError("degree exceeds the desk-scale budget")
+    if live is None:
+        live = range(nv * M)
     rows: list[dict] = []
     for normal, mult in a.hyperplanes:
-        cap = min(mult, d + 1)
-        nrows, entries = _expansion(normal, d, cap)
+        nrows, entries = _expansion(normal, d, min(mult, d + 1))
         block: list[dict] = [{} for _ in range(nrows)]
-        for i, ai in enumerate(normal):
-            if not ai:
-                continue
-            off = i * M
-            for t in range(M):
-                for row, coeff in entries[t]:
-                    block[row][off + t] = ai * coeff
-        rows.extend(block)
-    return rows, cols
+        for k, c in enumerate(live):
+            ai = normal[c // M]
+            if ai:
+                for row, coeff in entries[c % M]:
+                    block[row][k] = ai * coeff
+        rows.extend(filter(None, block))
+    return rows, len(live)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +347,13 @@ def _poly_vanishes_mod_power(poly: dict, normal: tuple, mult: int) -> bool:
         for row, f in entries[idx[exp]]:
             acc[row] += coeff * f
     return not any(acc)
+
+
+def _is_member(a: MultiArrangement, el: DerivationElement) -> bool:
+    """True iff alpha_H^m(H) divides el(alpha_H) for every hyperplane H: every
+    constraint row of el's degree, evaluated without building the rows."""
+    return all(_poly_vanishes_mod_power(_poly_combine(el.components, normal), normal, mult)
+               for normal, mult in a.hyperplanes)
 
 
 def _element_from_flat(vec: dict, nv: int, d: int) -> DerivationElement:
@@ -470,16 +479,6 @@ def _lifted_dimension_table(ess_dims: dict, center: int, ambient: int) -> dict:
     return table
 
 
-def _check_kernel_vector(rows, vec: dict, cols: int) -> None:
-    """Raise unless every constraint row annihilates ``vec`` exactly."""
-    dense = [0] * cols
-    for c, v in vec.items():
-        dense[c] = v
-    for row in rows:
-        if sum(map(mul, row.values(), map(dense.__getitem__, row))):
-            raise AssertionError("kernel vector violates a constraint row")
-
-
 def _scan_degree(ess: MultiArrangement, d: int, gens: list):
     """One degree of the minimal-generator scan; appends new generators.
 
@@ -487,27 +486,52 @@ def _scan_degree(ess: MultiArrangement, d: int, gens: list):
     span P first.  Let W be the coordinate subspace of the columns that are
     not pivots of P.  A nonzero element of P is nonzero at some pivot
     column, so P and W intersect in 0; as P lies in the layer D_d, the layer
-    is the direct sum of P and the intersection of D_d with W.  The
-    constraint rows together with one unit row per pivot column of P are the
-    equations of that intersection, so one elimination of them gives the new
-    generators: every kernel vector is one, and dim D_d = rank P + their
-    number.  Each is checked against the constraint rows and must raise the
-    rank of the span.
+    is the direct sum of P and the intersection of D_d with W, and
+    dim D_d = rank P + dim of that intersection.  Its equations are the
+    constraint rows and one unit row on each pivot column of P.
+
+    Some constraint rows are unit rows too: for a coordinate hyperplane
+    y_i = 0 of multiplicity m, theta(y_i) = theta_i, and y_i^m divides it
+    exactly when every column (i, mu) with mu_i < min(m, d + 1) is zero, one
+    row per column.  Call the columns of all these unit rows dead and the
+    rest live.  Every other row is its part on the dead columns, a
+    combination of unit rows, plus its part on the live columns, so the row
+    space is the span of the dead unit vectors plus the span of the live
+    parts.  Hence the pivot columns are the dead columns plus the pivots of
+    the live parts, the free columns are live, and the kernel vectors are
+    those of the live parts, extended by zero.  So only the live parts are
+    assembled, on the live columns numbered in increasing order, and
+    eliminated once: as the numbering keeps the column order, the pivots
+    and the primitive kernel vectors (lead positive at the lowest column)
+    are those of the full system, and there are len(live) - rank of them.
+    Each is a new generator.  It is checked against every hyperplane, the
+    coordinate ones included, which evaluates every constraint row of the
+    full system without building them, and it must raise the rank of P.
     """
     nv = ess.dim
-    rows, cols = _assemble(ess, d)
-    span = ReducedSpan(cols)
+    M = _mono_count(nv, d)
+    if nv * M > _MAX_UNKNOWNS:
+        raise UnsupportedSizeError("degree exceeds the desk-scale budget")
+    span = ReducedSpan(nv * M)
     for gen in gens:
         for mu in monomials(nv, d - gen.degree):
             span.insert(_flat_shifted(gen, mu, nv, d))
-    table = ReducedSpan(cols, rows + [{c: 1} for c in span.pivots])
-    n_new = cols - table.rank
+    dead = set(span.pivots)
+    for normal, mult in ess.hyperplanes:
+        if normal.count(0) == nv - 1:   # y_i = 0; as mu_i <= d, mu_i < min(m, d + 1) iff mu_i < m
+            i = next(filter(normal.__getitem__, range(nv)))
+            dead.update(i * M + t for t, mu in enumerate(monomials(nv, d)) if mu[i] < mult)
+    live = [c for c in range(nv * M) if c not in dead]
+    table = ReducedSpan(len(live), _assemble(ess, d, live)[0])
     for vec in table.kernel():
-        _check_kernel_vector(rows, vec, cols)
+        vec = {live[c]: v for c, v in vec.items()}
+        el = _element_from_flat(vec, nv, d)
+        if not _is_member(ess, el):
+            raise AssertionError("a new generator is not a member of the module")
         if not span.insert(vec):
             raise AssertionError("a new generator lies in the product span")
-        gens.append(_element_from_flat(vec, nv, d))
-    return span.rank, n_new
+        gens.append(el)
+    return span.rank, len(live) - table.rank
 
 
 def _random_point(a: MultiArrangement, rng: random.Random):
@@ -556,10 +580,8 @@ def saito_check(a: MultiArrangement, gens, seed: int = 0) -> bool:
             for exp in comp:
                 if sum(exp) != gen.degree:
                     raise ValueError("components are not homogeneous of the stated degree")
-        for normal, mult in a.hyperplanes:
-            applied = _poly_combine(gen.components, normal)
-            if not _poly_vanishes_mod_power(applied, normal, mult):
-                raise ValueError("derivation is not a member of the module")
+        if not _is_member(a, gen):
+            raise ValueError("derivation is not a member of the module")
     if sum(g.degree for g in gens) != a.multiplicity_sum:
         raise ValueError("generator degrees do not sum to the multiplicity sum")
     pt = _random_point(a, random.Random(seed))

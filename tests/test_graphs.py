@@ -112,6 +112,18 @@ def test_from_digits_validation():
     assert pair_list(4) is pair_list(4) and isinstance(pair_list(4), tuple)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, 2.0, False, 0.0])
+def test_codes_equal_to_a_valid_code_are_refused(bad):
+    # 1.0 and True compare and hash equal to 1, so an equality check lets
+    # them through; both constructors must refuse them as codes
+    with pytest.raises(ValueError, match="^unknown edge color code$"):
+        EdgeBicoloredGraph.from_digits(3, (0, bad, 1))
+    mat = [[ABSENT] * 4 for _ in range(4)]
+    mat[1][3] = mat[3][1] = bad
+    with pytest.raises(ValueError, match="^unknown edge color code$"):
+        EdgeBicoloredGraph(3, tuple(map(tuple, mat)))
+
+
 def _reference_masks(mat):
     """Bitmask adjacency recomputed from a color matrix by a plain loop."""
     n = len(mat) - 1

@@ -2,6 +2,7 @@
 Saito certification, and freeness verdicts on classical fixtures."""
 
 import functools
+import importlib.util
 import itertools
 import json
 import math
@@ -396,6 +397,115 @@ def test_new_generator_counts_match_a_basis_free_reference():
             assert cert.dimension_table[d] == len(layers[d][0])
             assert cert.new_generator_table[d] == _reference_new_generators(arr, layers, d)
     assert minimal_generators(nonfree, budget=5).new_generator_table[5] == 4
+
+
+# ---------------------------------------------------------------------------
+# the degree scan on its live columns
+
+CLASSES5 = json.loads((ROOT / "perfbench" / "data" / "classes5.json").read_text(encoding="utf-8"))
+
+
+def _k1_arrangement(digits):
+    graph = EdgeBicoloredGraph.from_digits(5, tuple(int(c) for c in digits))
+    return to_arrangement(MultiBraidSpec(1, (0,) * 5, graph))
+
+
+def _reference_scan_degree(ess, d, gens):
+    """The degree scan on the full system: every constraint row and a unit
+    row on each pivot column of the product span, eliminated together;
+    (dim, new generator count, new generators)."""
+    nv = ess.dim
+    rows, cols = oracle._assemble(ess, d)
+    span = ReducedSpan(cols)
+    for gen in gens:
+        for mu in monomials(nv, d - gen.degree):
+            span.insert(oracle._flat_shifted(gen, mu, nv, d))
+    table = ReducedSpan(cols, rows + [{c: 1} for c in span.pivots])
+    kernel = [oracle._element_from_flat(vec, nv, d) for vec in table.kernel()]
+    return span.rank + len(kernel), cols - table.rank, kernel
+
+
+def _assert_scan_matches_full_system(ess, degrees):
+    gens = []
+    for d in degrees:
+        dim, n_new, kernel = _reference_scan_degree(ess, d, gens)
+        before = len(gens)
+        assert oracle._scan_degree(ess, d, gens) == (dim, n_new), (ess, d)
+        assert gens[before:] == kernel, (ess, d)
+
+
+def test_live_column_scan_matches_the_full_system():
+    # the forced-zero columns (the product span's pivots and the columns of
+    # the coordinate hyperplanes' one-entry rows) are left out before the
+    # elimination; the dimension, the count and every generator must be
+    # those of eliminating the whole system
+    spec = importlib.util.spec_from_file_location("linalg_fixtures", ROOT / "tests" / "test_linalg.py")
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    spec_k2 = braid_spec(2, (0,) * 5, plus=[(1, 2), (1, 3)], minus=[(3, 4)], count=5)
+    cases = [(oracle._essential_form(to_arrangement(spec_k2)).ess, range(9))]
+    for row in random.Random(83).sample(CLASSES5, 20):
+        ess = oracle._essential_form(_k1_arrangement(row["digits"])).ess
+        cases.append((ess, range(max(row["generator_degrees"]) + 1)))
+    for cone in _cone_arrangements():
+        top = max(freeness_verdict(cone).generator_degrees)
+        cases.append((oracle._essential_form(cone).ess, range(top + 1)))
+    rng = random.Random(7)       # the arrangements of test_linalg.py
+    arrangements = [fixtures.random_arrangement(rng, dim) for dim in (3, 4) for _ in range(10)]
+    arrangements += [fixtures.centered_arrangement(rng, dim) for dim in (3, 4) for _ in range(4)]
+    arrangements.append(fixtures.SCALED_CENTER)
+    for arr in arrangements:
+        top = max(freeness_verdict(arr).generator_degrees) + 2     # past the verdict
+        cases.append((oracle._essential_form(arr).ess, range(top + 1)))
+    # a coordinate normal with a negative sign, scanned as given
+    negative = MultiArrangement(3, (((0, -1, 0), 3), ((1, -1, 0), 1), ((1, 0, -2), 2),
+                                    ((0, 1, -1), 1)))
+    cases.append((negative, range(negative.multiplicity_sum + 1)))
+    # multiplicity 1000: below degree 1000 the cap is d + 1 and every column is dead
+    for normal in ((1,), (-1,)):
+        line = MultiArrangement(1, ((normal, 1000),))
+        cases.append((line, (0, 1, 2, 998, 999, 1000, 1001, 1002)))
+    dead_coordinates = 0
+    for ess, degrees in cases:
+        _assert_scan_matches_full_system(ess, degrees)
+        dead_coordinates += any(sum(map(bool, normal)) == 1 for normal, _ in ess.hyperplanes)
+    assert dead_coordinates >= 20
+
+
+def test_membership_check_catches_a_perturbed_kernel_vector(monkeypatch):
+    # the lowest entry of a kernel vector with two or more entries is a pivot
+    # column, so some constraint row reads it: bumping it breaks membership
+    class Perturbed(ReducedSpan):
+        def kernel(self):
+            for vec in super().kernel():
+                if len(vec) > 1:
+                    vec[min(vec)] += 1
+                yield vec
+
+    ess = oracle._essential_form(BRAID3_DOUBLE).ess
+    gens = []
+    for d in range(3):
+        oracle._scan_degree(ess, d, gens)
+    monkeypatch.setattr(oracle, "ReducedSpan", Perturbed)
+    with pytest.raises(AssertionError, match="^a new generator is not a member of the module$"):
+        oracle._scan_degree(ess, 3, gens)
+
+
+@pytest.mark.slow
+def test_every_five_vertex_class_matches_its_stored_answer():
+    # all 406 classes at k=1 against perfbench's stored answers, with every
+    # Free certificate re-checked by saito_check on its lifted generators
+    assert len(CLASSES5) == 406
+    free = 0
+    for row in CLASSES5:
+        arr = _k1_arrangement(row["digits"])
+        cert = freeness_verdict(arr)
+        assert (cert.status, list(cert.generator_degrees)) == (
+            row["status"], row["generator_degrees"]), row["digits"]
+        if cert.status == FREE:
+            free += 1
+            assert saito_check(arr, cert.generators, seed=cert.seed)
+    assert 0 < free < 406
 
 
 # ---------------------------------------------------------------------------
