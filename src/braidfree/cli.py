@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -31,6 +32,7 @@ from .oracle import freeness_verdict
 
 SAMPLING_CENSUS_VERTICES = 6
 SAMPLING_CENSUS_SIZE = 10_000
+_DRAWS_PER_REFILL = 4096
 
 
 def _structural_obj(report) -> dict:
@@ -131,6 +133,25 @@ def _census_row(payload) -> dict:
     return row
 
 
+def _digit_slices(rng: random.Random, size: int):
+    """Successive ``size``-long byte strings of color codes 0..2: the values
+    ``rng.randrange(3)`` returns, in the same order.
+
+    ``randrange(3)`` draws ``getrandbits(2)`` and draws again while it reads
+    3 (``Random._randbelow_with_getrandbits``), so mapping ``getrandbits``
+    over a run of 2s and deleting the 3s gives the same stream, with no
+    Python-level call per code.  The buffer is refilled a fixed number of
+    draws at a time, so it stays small however many slices are taken.
+    """
+    buf, pos = b"", 0
+    while True:
+        while len(buf) - pos < size:
+            draws = bytes(map(rng.getrandbits, itertools.repeat(2, _DRAWS_PER_REFILL)))
+            buf, pos = buf[pos:] + draws.translate(None, b"\x03"), 0
+        yield buf[pos:pos + size]
+        pos += size
+
+
 def cmd_census(args) -> dict:
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
@@ -168,11 +189,14 @@ def cmd_census(args) -> dict:
             },
         }
     if args.vertices == SAMPLING_CENSUS_VERTICES:
-        rng = random.Random(args.seed)
+        if args.oracle:
+            raise InputError("the 6-vertex census samples; it runs no oracle")
+        # each sample is C(6,2) codes of random.Random(seed).randrange(3),
+        # drawn in bulk by _digit_slices
         nslots = args.vertices * (args.vertices - 1) // 2
+        samples = _digit_slices(random.Random(args.seed), nslots)
         eliminable = 0
-        for _ in range(SAMPLING_CENSUS_SIZE):
-            digits = tuple(rng.randrange(3) for _ in range(nslots))
+        for digits in itertools.islice(samples, SAMPLING_CENSUS_SIZE):
             graph = EdgeBicoloredGraph.from_digits(args.vertices, digits)
             eliminable += is_eliminable(graph).eliminable
         return {

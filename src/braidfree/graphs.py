@@ -293,9 +293,12 @@ def enumerate_classes(n: int, include_swap: bool = True) -> list[GraphClass]:
             f"exhaustive census supports 1..{MAX_CENSUS_VERTICES} vertices")
     nslots = n * (n - 1) // 2
     maps = _pair_slot_maps(n)
-    # codes treat slot 0 as the most significant base-3 digit, so the
-    # enumeration index below *is* the code of the digit tuple
-    weights = [3 ** (nslots - 1 - t) for t in range(nslots)]
+    # a digit tuple's code is the tuple read as a base-3 numeral, slot 0 the
+    # most significant digit, so the enumeration index below *is* the code.
+    # An orbit member's code is parsed in C: translating its bytes 0, 1, 2 to
+    # the characters "0", "1", "2" gives the numeral for int(..., 3), and on
+    # n = 1, with no slots, the empty numeral reads as "0"
+    numeral = b"012" + bytes(253)
     seen = bytearray(3 ** nslots)
     classes = []
     for code, digits in enumerate(itertools.product((0, 1, 2), repeat=nslots)):
@@ -304,7 +307,7 @@ def enumerate_classes(n: int, include_swap: bool = True) -> list[GraphClass]:
         orbit = _orbit(digits, maps, include_swap)
         best = min(orbit)
         for member in orbit:
-            seen[sum(d * w for d, w in zip(member, weights))] = 1
+            seen[int(bytes(member).translate(numeral) or b"0", 3)] = 1
         classes.append(GraphClass(
             canonical_key=bytes([n]) + bytes(best),
             representative=EdgeBicoloredGraph.from_digits(n, best),

@@ -48,6 +48,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -274,22 +275,25 @@ def _assemble(a: MultiArrangement, d: int, live=None):
     i*M + t is the t-th monomial of the i-th component).  Given ``live``, an
     increasing list of columns, every other column is left out, column
     ``live[k]`` becomes column k, and rows left empty are dropped; returns
-    the rows and their column count."""
+    the rows and their column count.  The coordinate hyperplanes are then
+    skipped: each of their rows is a unit row on a column the caller has
+    left out as dead (see ``_scan_degree``)."""
     nv = a.dim
     M = _mono_count(nv, d)
-    if live is None:
-        live = range(nv * M)
+    columns = range(nv * M) if live is None else live
     rows: list[dict] = []
     for normal, mult in a.hyperplanes:
+        if live is not None and normal.count(0) == nv - 1:
+            continue
         nrows, entries = _expansion(normal, d, min(mult, d + 1))
         block: list[dict] = [{} for _ in range(nrows)]
-        for k, c in enumerate(live):
+        for k, c in enumerate(columns):
             ai = normal[c // M]
             if ai:
                 for row, coeff in entries[c % M]:
                     block[row][k] = ai * coeff
         rows.extend(filter(None, block))
-    return rows, len(live)
+    return rows, len(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +472,16 @@ def _center_elements(form: _EssentialForm):
 # generator scan: the one place where graded pieces are computed
 
 def _lifted_dimension_table(ess_dims: dict, center: int, ambient: int) -> dict:
-    table = {}
-    for d in range(len(ess_dims)):
-        total = center * _mono_count(ambient, d)
-        for e in range(d + 1):
-            mc = _mono_count(center, d - e)
-            if mc:
-                total += ess_dims[e] * mc
-        table[d] = total
-    return table
+    """dim D_d of the ambient module: the center directions, ``center``
+    times the degree-d monomial count in ``ambient`` variables, plus the
+    convolution of ``ess_dims`` with the monomial counts m_c of the
+    ``center`` center variables.  By Pascal's rule m_c(k) = m_c(k-1) +
+    m_{c-1}(k), so that convolution is ``ess_dims`` prefix-summed ``center``
+    times, in O(budget * center) additions."""
+    dims = [ess_dims[d] for d in range(len(ess_dims))]
+    for _ in range(center):
+        dims = list(accumulate(dims))
+    return {d: center * _mono_count(ambient, d) + v for d, v in enumerate(dims)}
 
 
 def _scan_degree(ess: MultiArrangement, d: int, gens: list):

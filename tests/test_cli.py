@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import braidfree
-from braidfree.cli import main
+import braidfree.cli as cli
+from braidfree.cli import _DRAWS_PER_REFILL, _digit_slices, main
 
 
 def run(capsys, *argv):
@@ -287,6 +289,44 @@ def test_census_sampling_mode(capsys):
     result = json.loads(out)["result"]
     assert result["mode"] == "sampling"
     assert result["eliminable"] + result["non_eliminable"] == result["samples"]
+
+
+def test_sampling_census_refuses_the_oracle(capsys):
+    rc = main(["census", "--vertices", "6", "--oracle"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: the 6-vertex census samples; it runs no oracle\n"
+
+
+STREAM_SEEDS = [*range(65), -3, 2 ** 70]
+SLICE_SIZES = (1, 3, 6, 10, 15, 21)
+
+
+def _assert_slices_follow_randrange(seed, size, count):
+    slices = _digit_slices(random.Random(seed), size)
+    reference = random.Random(seed)
+    for i in range(count):
+        assert list(next(slices)) == [reference.randrange(3) for _ in range(size)], (seed, size, i)
+
+
+@pytest.mark.parametrize("size", SLICE_SIZES)
+def test_digit_slices_follow_randrange(size):
+    # three quarters of the draws survive, so a refill holds about
+    # 3 * _DRAWS_PER_REFILL / 4 codes and these slices take four refills;
+    # the seeds are dealt out among the sizes
+    count = 3 * _DRAWS_PER_REFILL // size
+    for seed in STREAM_SEEDS[SLICE_SIZES.index(size)::len(SLICE_SIZES)]:
+        _assert_slices_follow_randrange(seed, size, count)
+
+
+def test_digit_slices_straddle_small_refills(monkeypatch):
+    # with 5 draws a refill, nearly every slice straddles a refill, and a
+    # slice longer than one refill takes several
+    monkeypatch.setattr(cli, "_DRAWS_PER_REFILL", 5)
+    for seed in STREAM_SEEDS:
+        for size in SLICE_SIZES:
+            _assert_slices_follow_randrange(seed, size, 12)
 
 
 CLI = [sys.executable, "-m", "braidfree.cli"]

@@ -472,6 +472,37 @@ def test_live_column_scan_matches_the_full_system():
     assert dead_coordinates >= 20
 
 
+def _monomial_count(nvars, d):
+    if d < 0:
+        return 0
+    return math.comb(d + nvars - 1, nvars - 1) if nvars else int(d == 0)
+
+
+def test_lifted_dimension_table_matches_the_convolution():
+    # the center directions plus the essential dimensions convolved with the
+    # monomial counts of the center variables, written out term by term
+    def convolution(ess_dims, center, ambient):
+        return {d: center * _monomial_count(ambient, d)
+                + sum(ess_dims[e] * _monomial_count(center, d - e) for e in range(d + 1))
+                for d in range(len(ess_dims))}
+
+    rng = random.Random(31)
+    for center in range(5):
+        for rank in range(1, 4):
+            for budget in (0, 1, 7, 40):
+                ess_dims = {d: rng.randrange(60 * (d + 1)) for d in range(budget + 1)}
+                assert oracle._lifted_dimension_table(ess_dims, center, rank + center) == \
+                    convolution(ess_dims, center, rank + center), (center, rank, budget)
+
+
+def test_one_hyperplane_at_a_deep_degree():
+    # x_1 = 0 in dimension 5 is free with exponents 0, 0, 0, 0, 1: the essential
+    # part has rank 1 and the other four directions are the center
+    line = MultiArrangement(5, (((1, 0, 0, 0, 0), 1),))
+    d = 2000
+    assert graded_dimension(line, d) == 4 * _monomial_count(5, d) + _monomial_count(5, d - 1)
+
+
 def test_membership_check_catches_a_perturbed_kernel_vector(monkeypatch):
     # the lowest entry of a kernel vector with two or more entries is a pivot
     # column, so some constraint row reads it: bumping it breaks membership
