@@ -191,6 +191,8 @@ def cmd_census(args) -> dict:
     if args.vertices == SAMPLING_CENSUS_VERTICES:
         if args.oracle:
             raise InputError("the 6-vertex census samples; it runs no oracle")
+        if args.no_swap:
+            raise InputError("the 6-vertex census samples labeled colorings; it has no --no-swap")
         # each sample is C(6,2) codes of random.Random(seed).randrange(3),
         # drawn in bulk by _digit_slices
         nslots = args.vertices * (args.vertices - 1) // 2

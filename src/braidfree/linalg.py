@@ -18,8 +18,8 @@ against a one-entry pivot row does exactly that deletion, so the row space,
 the pivot columns and the kernel vectors are those of inserting the rows one
 by one; only the pivot table is sparser.  The oracle leaves out, before it
 builds a batch, the columns it knows to be zero: those of a coordinate
-hyperplane's one-entry rows (in essential coordinates a braid hyperplane
-x_i - x_n becomes a coordinate hyperplane) and the pivot columns of its
+hyperplane's one-entry rows (in essential coordinates centered at vertex v,
+a braid hyperplane x_i - x_v becomes one) and the pivot columns of its
 product span.  The single-entry rows that reach this batch are the rows
 that striking those columns left with one entry, such as a row of
 y_i - y_j whose y_j entry fell on a struck column.  The batch stops once

@@ -19,12 +19,17 @@ over braid-type arrangements from minutes into milliseconds.  The essential
 coordinates are the pivot columns of one echelon table of the normals, so
 the essential normal of H is its restriction to those columns (braid normals
 x_i - x_j stay two-term), and the center directions are the table's kernel
-vectors.  The Saito test of a candidate basis lifts nothing: at one seeded
-integer point p it evaluates the essential generators at y = B p (the rows
-b_t of B are the essential coordinate forms), places the values at the pivot
-columns and adds the center vectors, and ranks those rows.  A Free
-certificate keeps its essential basis; its ambient generators are lifted by
-an integer substitution when first read.  All reported tables, generators
+vectors.  The pivot columns are chosen, not taken in column order: of the
+column sets on which the normals have full rank, the one on which the most
+multiplicity has a single nonzero entry, so that the heaviest hyperplanes
+become coordinate hyperplanes (a braid spec is read in y_t = x_t - x_v, with
+v its vertex of largest incident multiplicity).  The Saito test of a
+candidate basis lifts nothing: at one seeded integer point p it evaluates
+the essential generators at y = B p (the rows b_t of B are the essential
+coordinate forms), places the values at the pivot columns and adds the
+center vectors, and ranks those rows.  A Free certificate keeps its
+essential basis; its ambient generators are lifted by an integer
+substitution when first read.  All reported tables, generators
 and Saito checks are in the original ambient coordinates, and the whole path
 is integer arithmetic.
 
@@ -48,7 +53,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -395,25 +400,74 @@ def coordinate_derivations(n: int) -> list[DerivationElement]:
 @dataclass(frozen=True)
 class _EssentialForm:
     ess: MultiArrangement | None   # None when there are no hyperplanes
-    pivots: tuple      # pivot columns p_1 < ... < p_r of the normals' echelon table
+    pivots: tuple      # the chosen pivot columns p_1 < ... < p_r (``_pivot_columns``)
     forms: tuple       # integer rows b_t, y_t = b_t . x; D * normal = sum_t normal[p_t] * b_t
     center: tuple      # kernel vectors k_c of the normals, one per free column c
+
+
+def _pivot_columns(a: MultiArrangement, first: tuple, center: list) -> tuple:
+    """The essential coordinates' columns P: among the column sets on which
+    the normals have full rank, the one of highest score, the smallest in
+    lexicographic order on a tie.  The score of P is the total multiplicity
+    of the hyperplanes whose normal has exactly one nonzero entry on P, that
+    is, which become coordinate hyperplanes.
+
+    ``first`` is the smallest such set (the pivot columns of the echelon
+    table in column order) and ``center`` its kernel vectors.  The normals
+    have full rank on P exactly when no nonzero center vector is supported
+    on P, that is, when the center vectors restricted to the complement of
+    P are independent; the sets are tried best first, and ``first`` needs
+    no test.
+    """
+    n, r = a.dim, len(first)
+
+    def score(cols):
+        return sum(mult for normal, mult in a.hyperplanes
+                   if sum(1 for c in cols if normal[c]) == 1)
+
+    def is_basis(cols):
+        free = [c for c in range(n) if c not in cols]
+        return ReducedSpan(n - r, ([k[c] for c in free] for k in center)).rank == n - r
+
+    ranked = sorted((-score(cols), cols) for cols in combinations(range(n), r))
+    return next(cols for _, cols in ranked if cols == first or is_basis(cols))
 
 
 def _essential_form(a: MultiArrangement) -> _EssentialForm:
     """Essential coordinates read off one echelon table of the normals.
 
-    Restriction to the pivot columns P is injective on the span of the
+    The pivot columns P are those ``_pivot_columns`` chooses, so that the
+    heaviest hyperplanes become coordinate hyperplanes and the degree scan
+    leaves their columns out as dead; for a braid spec the center of the
+    coordinates is the vertex of largest incident multiplicity.  The table
+    is eliminated with the columns of P ordered first, so its pivot columns
+    are P (the table in natural column order already has them when P is the
+    smallest basis).  Restriction to P is injective on the span of the
     normals, so H has essential normal primitive(normal restricted to P).
     The kernel vector k_c of a free column c is supported on {c} and P; with
-    D = lcm |k_c[c]| (``scale``), the integer forms b_t = D e_{p_t} - sum_c (D k_c[p_t] /
-    k_c[c]) e_c are orthogonal to every k_c and so span the normals.
+    D = lcm |k_c[c]| (``scale``), the integer forms b_t = D e_{p_t} -
+    sum_c (D k_c[p_t] / k_c[c]) e_c are orthogonal to every k_c and so span
+    the normals.
+
+    Nothing else depends on which basis P is.  The form b_s is D at p_s and
+    0 at the other columns of P, so the lift of sum_t g_t d/dy_t, which puts
+    g_t(B x) at column p_t, sends each y_s = b_s . x to D g_s(B x): it is a
+    member exactly when the essential derivation is, and its coefficient
+    row at a point p is a nonzero multiple of the row ``_essential_saito``
+    ranks.
     """
     n = a.dim
-    span = ReducedSpan(n, (normal for normal, _ in a.hyperplanes))
-    pivots = tuple(sorted(span.pivots))
-    free = [c for c in range(n) if c not in span.pivots]
-    center = tuple(tuple(k.get(i, 0) for i in range(n)) for k in span.kernel())
+    normals = [normal for normal, _ in a.hyperplanes]
+    span = ReducedSpan(n, normals)
+    center = [tuple(k.get(i, 0) for i in range(n)) for k in span.kernel()]
+    first = tuple(sorted(span.pivots))
+    pivots = _pivot_columns(a, first, center)
+    free = [c for c in range(n) if c not in pivots]
+    if pivots != first:
+        order = [*pivots, *free]
+        span = ReducedSpan(n, ([normal[c] for c in order] for normal in normals))
+        center = [tuple(k.get(order.index(i), 0) for i in range(n)) for k in span.kernel()]
+    center = tuple(center)
     scale = lcm(*(abs(k[c]) for k, c in zip(center, free)))
     forms = []
     for p in pivots:

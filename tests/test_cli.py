@@ -299,6 +299,15 @@ def test_sampling_census_refuses_the_oracle(capsys):
     assert captured.err == "error: the 6-vertex census samples; it runs no oracle\n"
 
 
+def test_sampling_census_refuses_no_swap(capsys):
+    # the sample counts labeled colorings, so a swap-free count cannot be given
+    rc = main(["--seed", "1", "census", "--vertices", "6", "--no-swap"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: the 6-vertex census samples labeled colorings; it has no --no-swap\n"
+
+
 STREAM_SEEDS = [*range(65), -3, 2 ** 70]
 SLICE_SIZES = (1, 3, 6, 10, 15, 21)
 

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
 import braidfree.oracle as oracle
 from braidfree.cli import main
 from braidfree.deform import DeformationSpec, build_and_cone
-from braidfree.graphs import DirectedGraph
+from braidfree.graphs import DirectedGraph, permute_graph
 from braidfree.linalg import ReducedSpan, primitive
 from braidfree.oracle import (DerivationElement, FREE, INCONCLUSIVE, NONFREE,
                               coordinate_derivations, monomials)
@@ -439,9 +440,6 @@ def test_live_column_scan_matches_the_full_system():
     # the coordinate hyperplanes' one-entry rows) are left out before the
     # elimination; the dimension, the count and every generator must be
     # those of eliminating the whole system
-    spec = importlib.util.spec_from_file_location("linalg_fixtures", ROOT / "tests" / "test_linalg.py")
-    fixtures = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fixtures)
     spec_k2 = braid_spec(2, (0,) * 5, plus=[(1, 2), (1, 3)], minus=[(3, 4)], count=5)
     cases = [(oracle._essential_form(to_arrangement(spec_k2)).ess, range(9))]
     for row in random.Random(83).sample(CLASSES5, 20):
@@ -450,11 +448,7 @@ def test_live_column_scan_matches_the_full_system():
     for cone in _cone_arrangements():
         top = max(freeness_verdict(cone).generator_degrees)
         cases.append((oracle._essential_form(cone).ess, range(top + 1)))
-    rng = random.Random(7)       # the arrangements of test_linalg.py
-    arrangements = [fixtures.random_arrangement(rng, dim) for dim in (3, 4) for _ in range(10)]
-    arrangements += [fixtures.centered_arrangement(rng, dim) for dim in (3, 4) for _ in range(4)]
-    arrangements.append(fixtures.SCALED_CENTER)
-    for arr in arrangements:
+    for arr in _linalg_arrangements():
         top = max(freeness_verdict(arr).generator_degrees) + 2     # past the verdict
         cases.append((oracle._essential_form(arr).ess, range(top + 1)))
     # a coordinate normal with a negative sign, scanned as given
@@ -537,6 +531,164 @@ def test_every_five_vertex_class_matches_its_stored_answer():
             free += 1
             assert saito_check(arr, cert.generators, seed=cert.seed)
     assert 0 < free < 406
+
+
+# ---------------------------------------------------------------------------
+# the choice of essential coordinates
+
+def _linalg_arrangements():
+    """The random arrangements of test_linalg.py, drawn as it draws them."""
+    spec = importlib.util.spec_from_file_location("linalg_fixtures", ROOT / "tests" / "test_linalg.py")
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    rng = random.Random(7)
+    arrangements = [fixtures.random_arrangement(rng, dim) for dim in (3, 4) for _ in range(10)]
+    arrangements += [fixtures.centered_arrangement(rng, dim) for dim in (3, 4) for _ in range(4)]
+    return arrangements + [fixtures.SCALED_CENTER]
+
+
+def _first_basis(a):
+    """Pivot columns and center vectors of the normals' echelon table in the
+    natural column order: the smallest basis, the coordinates the choice
+    rule keeps on a tie."""
+    span = ReducedSpan(a.dim, [normal for normal, _ in a.hyperplanes])
+    center = tuple(tuple(k.get(i, 0) for i in range(a.dim)) for k in span.kernel())
+    return tuple(sorted(span.pivots)), center
+
+
+def _score(a, cols):
+    return sum(m for normal, m in a.hyperplanes if sum(1 for c in cols if normal[c]) == 1)
+
+
+def _assert_form_follows_the_rule(a):
+    """The chosen pivots are, among the column sets on which the normals have
+    full rank (found by brute force), one of highest score and the smallest
+    on a tie; the center, the forms and the essential normals satisfy the
+    identities the lift and the Saito test rely on."""
+    n = a.dim
+    form = oracle._essential_form(a)
+    normals = [normal for normal, _ in a.hyperplanes]
+    r = ReducedSpan(n, normals).rank
+    bases = [cols for cols in itertools.combinations(range(n), r)
+             if ReducedSpan(r, [[v[c] for c in cols] for v in normals]).rank == r]
+    best = max(_score(a, cols) for cols in bases)
+    pivots = form.pivots
+    assert pivots == min(cols for cols in bases if _score(a, cols) == best)
+    free = [c for c in range(n) if c not in pivots]
+    assert len(form.center) == len(free) == n - r
+    for k, c in zip(form.center, free):
+        assert list(k) == primitive(k) and k[c]
+        assert all(not x for i, x in enumerate(k) if i != c and i not in pivots)
+        assert all(sum(map(operator.mul, v, k)) == 0 for v in normals)
+    scale = form.forms[0][pivots[0]]
+    for t, b in enumerate(form.forms):
+        assert [b[p] for p in pivots] == [scale * (s == t) for s in range(r)]
+        assert all(sum(map(operator.mul, b, k)) == 0 for k in form.center)
+    for (normal, mult), (ess_normal, ess_mult) in zip(a.hyperplanes, form.ess.hyperplanes):
+        combo = [sum(normal[p] * b[i] for p, b in zip(pivots, form.forms)) for i in range(n)]
+        assert combo == [scale * x for x in normal]
+        assert list(ess_normal) == primitive([normal[p] for p in pivots]) and ess_mult == mult
+    assert sum(m for v, m in form.ess.hyperplanes if sum(map(bool, v)) == 1) == best
+    return form
+
+
+def test_braid_spec_takes_its_heaviest_vertex_as_the_center():
+    # vertex 1 meets three Plus edges (multiplicity 3 each at k=1), every other
+    # vertex one Plus and two absent edges (3 + 2 + 2): the free column is
+    # vertex 1's, and its three hyperplanes become coordinate hyperplanes
+    arr = to_arrangement(braid_spec(1, (0,) * 4, plus=[(1, 2), (1, 3), (1, 4)]))
+    form = _assert_form_follows_the_rule(arr)
+    assert _first_basis(arr)[0] == (0, 1, 2)
+    assert form.pivots == (1, 2, 3) and form.center == ((1, 1, 1, 1),)
+    assert form.forms == ((-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1))
+    assert sorted(m for v, m in form.ess.hyperplanes if sum(map(bool, v)) == 1) == [3, 3, 3]
+    cert = freeness_verdict(arr)
+    assert cert.status == FREE and cert.essential_form == form
+    assert saito_check(arr, cert.generators, seed=cert.seed)
+    # the k=2 spec of perfbench's oracle-deep: Plus 12, 13 make vertex 1 the center
+    spec_k2 = to_arrangement(braid_spec(2, (0,) * 5, plus=[(1, 2), (1, 3)], minus=[(3, 4)], count=5))
+    assert _assert_form_follows_the_rule(spec_k2).pivots == (1, 2, 3, 4)
+
+
+def test_deformation_cones_keep_the_first_basis():
+    # every cone has multiplicity 1 throughout and four coordinate hyperplanes
+    # whichever vertex is the base, so the tie keeps the smallest basis
+    for cone in _cone_arrangements():
+        form = _assert_form_follows_the_rule(cone)
+        assert (form.pivots, form.center) == _first_basis(cone)
+
+
+def test_rank_deficient_arrangement_with_a_two_dimensional_center():
+    # three concurrent lines in the x_1 x_2 x_3 space, multiplicities 5, 1, 2,
+    # in dimension 4: x_1 - x_2 and x_1 - x_3 have one nonzero entry on the
+    # columns (1, 2), and on (0, 3) too, but the normals vanish on column 3,
+    # so (0, 3) is no basis
+    arr = MultiArrangement(4, (((1, -1, 0, 0), 5), ((0, 1, -1, 0), 1), ((1, 0, -1, 0), 2)))
+    form = _assert_form_follows_the_rule(arr)
+    assert _score(arr, (0, 3)) == _score(arr, (1, 2)) == 7
+    assert _first_basis(arr)[0] == (0, 1) and form.pivots == (1, 2)
+    assert form.center == ((1, 1, 1, 0), (0, 0, 0, 1))
+    cert = freeness_verdict(arr)
+    assert cert.status == FREE and cert.generator_degrees == (0, 0, 3, 5)
+    assert saito_check(arr, cert.generators, seed=cert.seed)
+    for d, dim in cert.dimension_table.items():
+        rows, cols = oracle._assemble(arr, d)
+        assert dim == cols - ReducedSpan(cols, rows).rank
+
+
+def test_moved_pivots_map_the_center_back():
+    # lines through the center (1, 2, 3): the heavy 2x_1 - x_2 becomes a
+    # coordinate hyperplane on the columns (0, 2), eliminated in the order
+    # 0, 2, 1, and the center vector is read back in the ambient order
+    arr = MultiArrangement(3, (((2, -1, 0), 3), ((3, 0, -1), 1), ((0, 3, -2), 1)))
+    form = _assert_form_follows_the_rule(arr)
+    assert _first_basis(arr)[0] == (0, 1) and form.pivots == (0, 2)
+    assert form.center == ((1, 2, 3),)
+    cert = freeness_verdict(arr)
+    assert cert.status == FREE and cert.generator_degrees == (0, 2, 3)
+    assert saito_check(arr, cert.generators, seed=cert.seed)
+
+
+def test_empty_arrangement_has_no_essential_coordinates():
+    form = oracle._essential_form(MultiArrangement(3, ()))
+    assert form.ess is None and form.pivots == () and form.forms == ()
+    assert form.center == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_forms_span_the_normals_on_the_linalg_arrangements():
+    # D * normal = sum_t normal[p_t] * b_t, among the other identities
+    arrangements = _linalg_arrangements()
+    assert sum(len(oracle._essential_form(arr).center) for arr in arrangements) == 9
+    for arr in arrangements:
+        _assert_form_follows_the_rule(arr)
+
+
+def _invariants(cert):
+    return (cert.status, cert.generator_degrees, cert.dimension_table,
+            cert.new_generator_table, cert.note)
+
+
+def test_certificates_are_invariant_under_relabeling_the_vertices():
+    # relabeling the vertices moves the vertex of largest incident
+    # multiplicity, and with it the chosen coordinates, but no invariant of
+    # the module; a Free basis found in moved coordinates must pass Saito
+    cases = [(cls.representative, [(0, *p) for p in itertools.permutations(range(1, n + 1))])
+             for n in (3, 4) for cls in enumerate_classes(n)]
+    rng = random.Random(97)
+    for row in rng.sample(CLASSES5, 30):
+        graph = EdgeBicoloredGraph.from_digits(5, tuple(int(c) for c in row["digits"]))
+        cases.append((graph, [(0, *rng.sample(range(1, 6), 5)) for _ in range(2)]))
+    moved = 0
+    for graph, perms in cases:
+        expect = _invariants(freeness_verdict(to_arrangement(MultiBraidSpec(1, (0,) * graph.n, graph))))
+        for image in {permute_graph(graph, perm) for perm in perms}:
+            arr = to_arrangement(MultiBraidSpec(1, (0,) * graph.n, image))
+            cert = freeness_verdict(arr)
+            assert _invariants(cert) == expect, (graph.digits(), image.digits())
+            if cert.status == FREE and cert.essential_form.pivots != _first_basis(arr)[0]:
+                moved += 1
+                assert saito_check(arr, cert.generators, seed=cert.seed)
+    assert moved >= 100
 
 
 # ---------------------------------------------------------------------------
