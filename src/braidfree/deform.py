@@ -17,8 +17,7 @@ guessed from the conjecture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .graphs import EdgeBicoloredGraph, DirectedGraph
 from .multibraid import FREE, NONFREE, MultiBraidSpec, Verdict, classify
 from .oracle import MultiArrangement
@@ -26,7 +25,7 @@ from .oracle import MultiArrangement
 UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeformationSpec:
     digraph: DirectedGraph
     k: int
@@ -36,7 +35,7 @@ class DeformationSpec:
             raise ValueError("k must be non-negative")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineArrangement:
     """Deduplicated affine hyperplanes (normal, constant): normal . x = constant."""
 
@@ -44,7 +43,7 @@ class AffineArrangement:
     hyperplanes: tuple[tuple[tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeformationVerdict:
     status: str                      # Free | NonFree | Undetermined
     a1: bool

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .graphs import ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph
 
 
@@ -45,7 +45,7 @@ def _inverse(perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return perm, tuple(inverse)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ordering:
     """A bijection from vertices 1..n to ranks 1..n.
 
@@ -186,7 +186,7 @@ def tilde_degrees(g: EdgeBicoloredGraph, nu: Ordering) -> tuple[int, ...]:
     return tuple(degs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Filtration:
     """An edge-by-edge build-up of a graph through valid intermediate stages.
 
@@ -281,14 +281,14 @@ def find_bad_quadruple(g: EdgeBicoloredGraph):
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MountainWitness:
     sigma: int                    # spoke color; the ridge path has the other color
     path: tuple[int, ...]
     omega: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HillWitness:
     sigma: int
     path: tuple[int, ...]
@@ -387,7 +387,7 @@ class _found_once:
         return value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructuralReport:
     """The three structural conditions of one graph, with explicit witnesses.
 
@@ -398,6 +398,13 @@ class StructuralReport:
     """
 
     graph: EdgeBicoloredGraph
+
+    def __init__(self, graph: EdgeBicoloredGraph):
+        # written out rather than generic, at about half the cost: the census
+        # builds one report and one result per graph it decides.  Both write
+        # ``__dict__`` directly, cheaper than ``object.__setattr__`` for
+        # fields that are read only a few times
+        self.__dict__["graph"] = graph
 
     @_found_once
     def chordal_plus(self) -> bool:
@@ -441,11 +448,19 @@ def structurally_eliminable(g: EdgeBicoloredGraph) -> bool:
     return structural_check(g).passes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EliminabilityResult:
     eliminable: bool
     ordering: Ordering | None
     structural: StructuralReport
+
+    def __init__(self, eliminable: bool, ordering: Ordering | None,
+                 structural: StructuralReport):
+        # written out, like ``StructuralReport.__init__``
+        attrs = self.__dict__
+        attrs["eliminable"] = eliminable
+        attrs["ordering"] = ordering
+        attrs["structural"] = structural
 
 
 def is_eliminable(g: EdgeBicoloredGraph) -> EliminabilityResult:

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from operator import itemgetter
+
+from ._record import field, record
 
 # edge color codes
 ABSENT, PLUS, MINUS = 0, 1, 2
@@ -67,7 +68,7 @@ def _digit_plan(n: int):
     return rows, tuple((i, j, 1 << i, 1 << j) for i, j in pairs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EdgeBicoloredGraph:
     """A graph on vertices 1..n whose edges split into Plus and Minus classes.
 
@@ -273,7 +274,7 @@ def canonical_key(g: EdgeBicoloredGraph, include_swap: bool = True) -> bytes:
     return bytes([g.n]) + bytes(min(_orbit(g.digits(), _pair_slot_maps(g.n), include_swap)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GraphClass:
     """One isomorphism(+swap) class: canonical key, a representative whose own
     key equals it, and the number of labeled colorings in the class."""
@@ -316,7 +317,7 @@ def enumerate_classes(n: int, include_swap: bool = True) -> list[GraphClass]:
     return classes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DirectedGraph:
     """A loop-free directed graph on vertices 1..n; (i,j) and (j,i) may coexist."""
 

@@ -17,8 +17,8 @@ requested.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .eliminate import (Ordering, StructuralReport, is_eliminable,
                         tilde_degrees)
 from .graphs import (MINUS, PLUS, EdgeBicoloredGraph, UnsupportedSizeError,
@@ -30,7 +30,7 @@ OUT_OF_SCOPE = "OutOfTheoremScope"
 _EDGE_WEIGHT = {PLUS: 1, MINUS: -1}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiBraidSpec:
     """(k, n_1..n_{l+1}, G): the multiplicity 2k + n_i + n_j + w({i,j}) on
     each hyperplane x_i = x_j of the braid arrangement."""
@@ -71,7 +71,7 @@ class MultiBraidSpec:
         return sum(m for m in self.multiplicities().values() if m > 0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     """Classification outcome for one spec."""
 
@@ -117,7 +117,7 @@ def dual_spec(spec: MultiBraidSpec) -> MultiBraidSpec:
     return MultiBraidSpec(spec.k, spec.n, color_swap(spec.graph))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CharPoly:
     """Root multiset of the characteristic polynomial of a free spec: one 0
     for the leading factor plus the exponent multiset (whose smallest entry

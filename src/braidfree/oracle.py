@@ -50,13 +50,13 @@ rank-2 routines at the end, the tests' reference for the closed forms in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from operator import mul
 
+from ._record import field, record
 from .graphs import UnsupportedSizeError
 from .linalg import ReducedSpan, primitive
 
@@ -68,7 +68,7 @@ MAX_AMBIENT_DIM = 5
 _MAX_UNKNOWNS = 120_000   # guard on dim * #monomials before each degree's scan
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiArrangement:
     """A central multiarrangement: primitive integer normals with positive
     multiplicities, pairwise non-proportional."""
@@ -107,7 +107,7 @@ class MultiArrangement:
         return sum(m for _, m in self.hyperplanes)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DerivationElement:
     """A homogeneous derivation sum_i f_i d/dx_i with integer coefficients;
     ``components[i]`` maps exponent tuples to the coefficient of x^exp in f_i."""
@@ -131,7 +131,7 @@ class DerivationElement:
         return tuple(out)
 
 
-@dataclass
+@record
 class FreenessCertificate:
     """Outcome of a freeness computation with everything needed to audit it.
 
@@ -397,7 +397,7 @@ def coordinate_derivations(n: int) -> list[DerivationElement]:
 # ---------------------------------------------------------------------------
 # essentialization
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _EssentialForm:
     ess: MultiArrangement | None   # None when there are no hyperplanes
     pivots: tuple      # the chosen pivot columns p_1 < ... < p_r (``_pivot_columns``)
