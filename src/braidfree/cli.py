@@ -88,10 +88,7 @@ def _certificate_obj(cert) -> dict:
 def cmd_classify(args) -> dict:
     graph = load_graph(args.graph)
     n = [int(x) for x in args.n.split(",")] if args.n else [0] * graph.n
-    try:
-        spec = MultiBraidSpec(args.k, tuple(n), graph)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    spec = MultiBraidSpec(args.k, tuple(n), graph)
     verdict = classify(spec)
     result = _verdict_obj(spec, verdict)
     result["lmp2"] = lmp2(spec)
@@ -307,15 +304,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(line: str) -> None:
+    """One line to stderr; if stderr is unwritable, the exit code still holds."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         body = args.handler(args)
     except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _error(f"internal error: {exc}")
         return 3
     except (InputError, UnsupportedSizeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
     report = {
         "command": args.command,
@@ -335,7 +340,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
     return 0
 

@@ -78,13 +78,11 @@ def check_a1_a2(g: DirectedGraph):
     return a1, a2, witness
 
 
-def _constants(spec: DeformationSpec, i: int, j: int) -> list[int]:
+def _constants(spec: DeformationSpec, i: int, j: int) -> range:
+    """-k - e(i,j), -k, ..., k, k + e(j,i): one interval, since e is 0 or 1."""
     e_ij = 1 if spec.digraph.has_arc(i, j) else 0
     e_ji = 1 if spec.digraph.has_arc(j, i) else 0
-    vals = set(range(-spec.k, spec.k + 1))
-    vals.add(-spec.k - e_ij)
-    vals.add(spec.k + e_ji)
-    return sorted(vals)
+    return range(-spec.k - e_ij, spec.k + e_ji + 1)
 
 
 def build_and_cone(spec: DeformationSpec):

@@ -241,27 +241,22 @@ def validate_rank2_closed_form(max_total: int = 12) -> int:
 
 
 def lmp2(spec: MultiBraidSpec) -> int:
-    """Second local mixed product: the sum over rank-2 flats of the product
-    of the local exponent pair.
-
-    Rank-2 flats of the braid arrangement are triple coincidences x_i=x_j=x_k
-    (up to three hyperplanes, fewer when some multiplicity is 0) and pairs of
-    disjoint coincidences; a flat contributes only while it retains at least
-    two hyperplanes.
+    """Second local mixed product: the sum over rank-2 flats of d1*d2, the
+    local exponent pair; e2 of the exponents when free (Abe-Terao-Wakefield
+    2007).  Any two present hyperplanes (multiplicity > 0) lie in exactly one
+    rank-2 flat: a triangle x_i = x_j = x_h if they share a vertex, a
+    disjoint pair otherwise.  A two-hyperplane flat gives m_p*m_q, so
+    LMP2 = e2(m) - sum (ab + bc + ca - d1*d2) over the triangles whose three
+    hyperplanes a, b, c are all present.
     """
-    count = spec.vertex_count
     mult = spec.multiplicities()
-    total = 0
-    for tri in itertools.combinations(range(1, count + 1), 3):
-        ms = [mult[p] for p in itertools.combinations(tri, 2) if mult[p] > 0]
-        if len(ms) == 3:
-            d1, d2 = rank2_exponents(ms)
-            total += d1 * d2
-        elif len(ms) == 2:
-            total += ms[0] * ms[1]
-    for (p, q) in itertools.combinations(pair_list(count), 2):
-        if len({*p, *q}) == 4 and mult[p] > 0 and mult[q] > 0:
-            total += mult[p] * mult[q]
+    present = [m for m in mult.values() if m > 0]
+    total = (sum(present) ** 2 - sum(m * m for m in present)) // 2
+    for i, j, h in itertools.combinations(range(1, spec.vertex_count + 1), 3):
+        a, b, c = mult[i, j], mult[j, h], mult[i, h]
+        if a > 0 and b > 0 and c > 0:
+            d1, d2 = rank2_exponents((a, b, c))
+            total -= a * b + b * c + c * a - d1 * d2
     return total
 
 

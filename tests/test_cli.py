@@ -381,6 +381,17 @@ def test_report_to_a_full_device_exits_two():
     _one_error_line(proc.stderr)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("vertices", ["4", "9"])
+def test_unwritable_stderr_keeps_exit_two(vertices):
+    # 4: the report write fails; 9: an input error.  Either way the error
+    # line cannot be written, and the exit code must not change.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([*CLI, "census", "--vertices", vertices], stdout=full,
+                              stderr=full, env=CLI_ENV, timeout=60)
+    assert proc.returncode == 2
+
+
 def test_report_to_a_closed_pipe_exits_two():
     # the 5-vertex census report is far larger than a pipe buffer, so the
     # writer is still writing when the reader goes away

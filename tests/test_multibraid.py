@@ -232,6 +232,49 @@ def test_lmp2_equals_e2_on_free_specs():
         assert lmp2(s) == e2(v.exponents)
 
 
+def _reference_lmp2(s):
+    """The flat-by-flat sum: triangles x_i = x_j = x_h with 3 or 2 present
+    hyperplanes, then pairs of disjoint present hyperplanes."""
+    mult = s.multiplicities()
+    total = 0
+    for tri in itertools.combinations(range(1, s.vertex_count + 1), 3):
+        ms = [mult[p] for p in itertools.combinations(tri, 2) if mult[p] > 0]
+        if len(ms) == 3:
+            d1, d2 = rank2_exponents(ms)
+            total += d1 * d2
+        elif len(ms) == 2:
+            total += ms[0] * ms[1]
+    for p, q in itertools.combinations(sorted(mult), 2):
+        if len({*p, *q}) == 4 and mult[p] > 0 and mult[q] > 0:
+            total += mult[p] * mult[q]
+    return total
+
+
+def test_lmp2_matches_the_flat_by_flat_sum():
+    cases = []
+    for n in (3, 4):
+        for digits in itertools.product(range(3), repeat=n * (n - 1) // 2):
+            g = EdgeBicoloredGraph.from_digits(n, digits)
+            for shifts in ((0,) * n, (1,) + (0,) * (n - 1), tuple(range(n))):
+                cases += [MultiBraidSpec(k, shifts, g) for k in (0, 1)]
+    for c in enumerate_classes(5):
+        cases += [MultiBraidSpec(k, (0,) * 5, c.representative) for k in (0, 1)]
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(6, 7)
+        g = EdgeBicoloredGraph.from_digits(
+            n, [rng.randrange(3) for _ in range(n * (n - 1) // 2)])
+        cases.append(MultiBraidSpec(rng.randint(0, 2),
+                                    tuple(rng.randint(0, 2) for _ in range(n)), g))
+    seen = Counter()
+    for s in cases:
+        ms = s.multiplicities().values()
+        seen["zero"] += 0 in ms
+        seen["negative"] += min(ms) < 0
+        assert lmp2(s) == _reference_lmp2(s), s
+    assert seen["zero"] > 100 and seen["negative"] > 100
+
+
 def test_localization_closure():
     rng = random.Random(29)
     found = 0
