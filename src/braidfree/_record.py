@@ -21,9 +21,10 @@ The constructor sets each field with ``object.__setattr__``, as the frozen
 dataclasses did: filling ``__dict__`` directly would be cheaper, but in
 CPython 3.11 it leaves a split dict on which attribute reads are not
 specialized and take about twice as long.  Every instance still has a
-``__dict__`` for ``_trusted`` constructors and cached conditions to write
-into.  A method that a class defines itself is kept.  Inheritance between records,
-``ClassVar`` and default factories are not supported: no record uses them.
+``__dict__`` for the graph builder (``_from_valid_digits``) and cached
+conditions to write into.  A method that a class defines itself is kept.
+Inheritance between records, ``ClassVar`` and default factories are not
+supported: no record uses them.
 
 It exists because ``import dataclasses`` loads ``inspect``, ``ast`` and
 ``tokenize``, and ``@dataclass`` compiles each method with ``exec``:

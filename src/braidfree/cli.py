@@ -106,9 +106,8 @@ def cmd_classify(args) -> dict:
 
 
 def _census_row(payload) -> dict:
-    key, digits, n, labeled, with_oracle, seed = payload
-    graph = EdgeBicoloredGraph.from_digits(n, digits)
-    spec = MultiBraidSpec(1, (0,) * n, graph)
+    key, graph, labeled, with_oracle, seed = payload
+    spec = MultiBraidSpec(1, (0,) * graph.n, graph)
     verdict = classify(spec)       # k = 1 is in scope: Free iff eliminable
     eliminable = verdict.status == FREE
     row = {
@@ -155,8 +154,8 @@ def cmd_census(args) -> dict:
     include_swap = not args.no_swap
     if args.vertices <= MAX_CENSUS_VERTICES:
         classes = enumerate_classes(args.vertices, include_swap=include_swap)
-        payloads = [(c.canonical_key.hex(), c.representative.digits(), args.vertices,
-                     c.labeled_count, args.oracle, args.seed) for c in classes]
+        payloads = [(c.canonical_key.hex(), c.representative, c.labeled_count,
+                     args.oracle, args.seed) for c in classes]
         if args.jobs > 1:
             # imported here: the pool pulls in multiprocessing, which every
             # other command would pay for at start-up

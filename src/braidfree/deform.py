@@ -18,7 +18,7 @@ guessed from the conjecture.
 from __future__ import annotations
 
 from ._record import record
-from .graphs import EdgeBicoloredGraph, DirectedGraph
+from .graphs import ABSENT, MINUS, PLUS, DirectedGraph, EdgeBicoloredGraph, pair_list
 from .multibraid import FREE, NONFREE, MultiBraidSpec, Verdict, classify
 from .oracle import MultiArrangement
 
@@ -119,17 +119,9 @@ def ziegler_spec(spec: DeformationSpec) -> MultiBraidSpec:
     Absent for one and Minus for none.
     """
     n = spec.digraph.n
-    plus = []
-    minus = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            arcs = (spec.digraph.has_arc(i, j)) + (spec.digraph.has_arc(j, i))
-            if arcs == 2:
-                plus.append((i, j))
-            elif arcs == 0:
-                minus.append((i, j))
-    graph = EdgeBicoloredGraph.from_edges(n, plus=plus, minus=minus)
-    return MultiBraidSpec(spec.k + 1, (0,) * n, graph)
+    has_arc = spec.digraph.has_arc
+    digits = [(MINUS, ABSENT, PLUS)[has_arc(i, j) + has_arc(j, i)] for i, j in pair_list(n)]
+    return MultiBraidSpec(spec.k + 1, (0,) * n, EdgeBicoloredGraph.from_digits(n, digits))
 
 
 def deformation_verdict(spec: DeformationSpec) -> DeformationVerdict:

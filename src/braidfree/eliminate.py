@@ -32,7 +32,7 @@ import functools
 import itertools
 
 from ._record import record
-from .graphs import ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph
+from .graphs import ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph, pair_list
 
 
 def _inverse(perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -244,9 +244,12 @@ def complete_filtration(g: EdgeBicoloredGraph, nu: Ordering) -> Filtration:
             mat[l][j] = mat[j][l] = ABSENT
     additions = tuple(reversed(deletions))
 
-    steps = [EdgeBicoloredGraph.from_edges(n)]
-    for (i, j), color in additions:
-        step = steps[-1]._with_edge(i, j, color)
+    slot = {pair: t for t, pair in enumerate(pair_list(n))}
+    digits = [ABSENT] * len(slot)
+    steps = [EdgeBicoloredGraph._from_valid_digits(n, tuple(digits))]
+    for edge, color in additions:
+        digits[slot[edge]] = color
+        step = EdgeBicoloredGraph._from_valid_digits(n, tuple(digits))
         if not is_valid_ordering(step, nu):
             raise AssertionError("filtration stage lost the elimination ordering")
         steps.append(step)

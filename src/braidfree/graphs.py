@@ -5,16 +5,18 @@ Vertices are 1-based throughout.  A coloring is total: every unordered pair
 {i,j} carries exactly one of Absent/Plus/Minus, so "no edge" is a first-class
 value and pattern checks are direct lookups.
 
-Every graph carries its bitmask ``adjacency``, built in the same pass that
-fills its color matrix.  Each input is validated in the form it arrives:
+A graph's color matrix and bitmask ``adjacency`` are built by one private
+builder, ``EdgeBicoloredGraph._from_valid_digits``, from the graph's digit
+string (its upper-triangle codes in row-major order); the builder checks
+nothing.  Each entry point checks its input once, in the form it arrives:
 ``EdgeBicoloredGraph(n, mat)`` checks the matrix (shape, zero diagonal,
-symmetry and codes), ``from_edges`` checks each edge before handing that
-constructor its matrix, and ``from_digits`` checks only n, the digit count
-and the codes.  A graph derived from a valid one (``from_digits`` after its
-checks, ``induced_subgraph``, ``permute_graph``, ``color_swap``, and each
-step of ``eliminate.complete_filtration``, which colors one absent pair of
-the previous step) is valid by construction and is built by the private
-``EdgeBicoloredGraph._trusted``, which checks nothing.
+symmetry and codes), keeps it and takes its masks from the builder;
+``from_edges`` checks each edge (range, self-loop, duplicate) and hands its
+digits to ``from_digits``, which checks n, the digit count and the codes.
+A graph derived from a valid one (``induced_subgraph``, ``permute_graph``,
+``color_swap``, the representatives of ``enumerate_classes`` and each step
+of ``eliminate.complete_filtration``) has valid digits by construction and
+goes to the builder directly.
 
 Canonical keys are computed by brute-force minimisation over all vertex
 relabelings, optionally composed with the global Plus/Minus swap; this is
@@ -89,7 +91,6 @@ class EdgeBicoloredGraph:
             raise ValueError("vertex count must be positive")
         if len(mat) != n + 1 or any(len(row) != n + 1 for row in mat):
             raise ValueError("color matrix has wrong shape")
-        masks = [[0] * (n + 1) for _ in range(3)]
         for i in range(1, n + 1):
             row = mat[i]
             if row[i] != ABSENT:
@@ -100,22 +101,13 @@ class EdgeBicoloredGraph:
                     raise ValueError("color matrix must be symmetric")
                 if type(c) is not int or c not in _CODES:
                     raise ValueError("unknown edge color code")
-                masks[c][i] |= 1 << j
-                masks[c][j] |= 1 << i
-        object.__setattr__(self, "adjacency", tuple(map(tuple, masks)))
-
-    @classmethod
-    def _trusted(cls, n: int, mat, adjacency) -> "EdgeBicoloredGraph":
-        """A graph from a color matrix and the masks that match it, both
-        valid by construction: nothing is checked."""
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, mat=mat, adjacency=adjacency)
-        return g
+        object.__setattr__(self, "adjacency", self._from_valid_digits(n, self.digits()).adjacency)
 
     @classmethod
     def _from_valid_digits(cls, n: int, digits: tuple) -> "EdgeBicoloredGraph":
-        """``from_digits`` after its checks: the matrix rows and the masks in
-        one pass over the digits."""
+        """The graph of a digit string, its matrix rows and masks built in one
+        pass: the only builder of both.  Nothing is checked; the caller
+        guarantees n >= 1 and C(n,2) valid codes."""
         rows, bits = _digit_plan(n)
         padded = (*digits, ABSENT)
         masks = [[0] * (n + 1) for _ in range(3)]
@@ -123,22 +115,24 @@ class EdgeBicoloredGraph:
             color = masks[c]
             color[i] |= bit_j
             color[j] |= bit_i
-        return cls._trusted(n, tuple([row(padded) for row in rows]), tuple(map(tuple, masks)))
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, mat=tuple([row(padded) for row in rows]),
+                          adjacency=tuple(map(tuple, masks)))
+        return g
 
     @classmethod
     def from_edges(cls, n: int, plus=(), minus=()) -> "EdgeBicoloredGraph":
-        mat = [[ABSENT] * (n + 1) for _ in range(n + 1)]
-        seen = set()
+        digits = [ABSENT] * (n * (n - 1) // 2)
         for color, edges in ((PLUS, plus), (MINUS, minus)):
             for i, j in edges:
                 if not (1 <= i <= n and 1 <= j <= n) or i == j:
                     raise ValueError(f"bad edge ({i},{j}) on {n} vertices")
-                key = (min(i, j), max(i, j))
-                if key in seen:
-                    raise ValueError(f"duplicate edge {key}")
-                seen.add(key)
-                mat[i][j] = mat[j][i] = color
-        return cls(n, tuple(tuple(row) for row in mat))
+                i, j = min(i, j), max(i, j)
+                t = (i - 1) * (2 * n - i) // 2 + j - i - 1   # the slot of (i, j) in pair_list(n)
+                if digits[t] != ABSENT:
+                    raise ValueError(f"duplicate edge {(i, j)}")
+                digits[t] = color
+        return cls.from_digits(n, digits)
 
     @classmethod
     def from_digits(cls, n: int, digits) -> "EdgeBicoloredGraph":
@@ -158,20 +152,6 @@ class EdgeBicoloredGraph:
         if not valid:
             raise ValueError("unknown edge color code")
         return cls._from_valid_digits(n, digits)
-
-    def _with_edge(self, i: int, j: int, color: int) -> "EdgeBicoloredGraph":
-        """This graph with its absent pair {i,j} given ``color``: rows i and
-        j are rebuilt, and the pair's bits move from ABSENT to ``color``.
-        The caller guarantees the pair is absent and the color valid."""
-        mat = list(self.mat)
-        adj = [list(masks) for masks in self.adjacency]
-        for a, b in ((i, j), (j, i)):
-            row = list(mat[a])
-            row[b] = color
-            mat[a] = tuple(row)
-            adj[ABSENT][a] ^= 1 << b
-            adj[color][a] |= 1 << b
-        return self._trusted(self.n, tuple(mat), tuple(map(tuple, adj)))
 
     def digits(self) -> tuple[int, ...]:
         """Upper-triangle color codes in row-major order (the key serialization)."""
@@ -211,9 +191,7 @@ def induced_subgraph(g: EdgeBicoloredGraph, subset) -> EdgeBicoloredGraph:
 
 def color_swap(g: EdgeBicoloredGraph) -> EdgeBicoloredGraph:
     """Exchange Plus and Minus on every edge (an involution)."""
-    mat = tuple(tuple(SWAPPED[c] for c in row) for row in g.mat)
-    absent, plus, minus = g.adjacency
-    return EdgeBicoloredGraph._trusted(g.n, mat, (absent, minus, plus))
+    return EdgeBicoloredGraph._from_valid_digits(g.n, tuple([SWAPPED[c] for c in g.digits()]))
 
 
 def permute_graph(g: EdgeBicoloredGraph, perm) -> EdgeBicoloredGraph:
@@ -234,7 +212,8 @@ def permute_graph(g: EdgeBicoloredGraph, perm) -> EdgeBicoloredGraph:
         g.n, tuple(mat[source[p]][source[q]] for p, q in pair_list(g.n)))
 
 
-def _pair_slot_maps(n: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _pair_slot_maps(n: int) -> tuple[tuple[int, ...], ...]:
     """For every vertex permutation, the induced permutation of pair slots.
 
     Slot t of the image equals slot map[t] of the source, i.e. applying
@@ -248,7 +227,7 @@ def _pair_slot_maps(n: int) -> list[tuple[int, ...]]:
         maps.append(tuple(
             index[(full[i], full[j])] if full[i] < full[j] else index[(full[j], full[i])]
             for i, j in pairs))
-    return maps
+    return tuple(maps)
 
 
 def _orbit(digits, maps, include_swap: bool) -> set:
@@ -311,7 +290,7 @@ def enumerate_classes(n: int, include_swap: bool = True) -> list[GraphClass]:
             seen[int(bytes(member).translate(numeral) or b"0", 3)] = 1
         classes.append(GraphClass(
             canonical_key=bytes([n]) + bytes(best),
-            representative=EdgeBicoloredGraph.from_digits(n, best),
+            representative=EdgeBicoloredGraph._from_valid_digits(n, best),
             labeled_count=len(orbit)))
     classes.sort(key=lambda c: c.canonical_key)
     return classes

@@ -197,19 +197,6 @@ def _mono_count(nvars: int, d: int) -> int:
     return comb(d + nvars - 1, nvars - 1)
 
 
-def _compositions(total: int, nparts: int):
-    if nparts == 0:
-        if total == 0:
-            yield ()
-        return
-    if nparts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, nparts - 1):
-            yield (first, *rest)
-
-
 @lru_cache(maxsize=None)
 def _expansion(normal: tuple, d: int, cap: int):
     """Substitution table for one hyperplane at one degree.
@@ -248,7 +235,8 @@ def _expansion(normal: tuple, d: int, cap: int):
         for r0 in range(0 if support else mp, min(mp, cap - 1) + 1):
             rest = mp - r0
             head = comb(mp, r0) * scale
-            for comp in _compositions(rest, len(support)):
+            # ascending lexicographic order: it fixes the row numbering
+            for comp in reversed(monomials(len(support), rest)):
                 coeff = head
                 left = rest
                 inc = r0 * top

@@ -104,3 +104,15 @@ def test_level_shifts_ziegler_level():
     z = ziegler_spec(DeformationSpec(digraph(3, [(1, 2)]), 2))
     assert z.k == 3
     assert z.multiplicities()[(1, 2)] == 2 * 2 + 1 + 1
+
+
+def test_ziegler_spec_colors_by_arc_count_on_every_three_vertex_digraph():
+    # Plus for two arcs between a pair, Absent for one, Minus for none
+    color = {2: PLUS, 1: ABSENT, 0: MINUS}
+    for g in all_digraphs(3):
+        for k in (0, 1):
+            z = ziegler_spec(DeformationSpec(g, k))
+            assert z.k == k + 1 and z.n == (0, 0, 0)
+            assert all(z.graph.mat[i][j] == z.graph.mat[j][i] == color[g.has_arc(i, j)
+                                                                      + g.has_arc(j, i)]
+                       for i, j in itertools.combinations(range(1, 4), 2))

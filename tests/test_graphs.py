@@ -98,6 +98,20 @@ def test_from_edges_validation():
         EdgeBicoloredGraph.from_edges(3, plus=[(1, 2)], minus=[(2, 1)])
     with pytest.raises(ValueError):
         EdgeBicoloredGraph.from_edges(3, plus=[(1, 2), (2, 1)])
+    # on n <= 0 an edge is refused before the vertex count is
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=f"^bad edge \\(1,2\\) on {n} vertices$"):
+            EdgeBicoloredGraph.from_edges(n, plus=[(1, 2)])
+        with pytest.raises(ValueError, match="^vertex count must be positive$"):
+            EdgeBicoloredGraph.from_edges(n)
+    with pytest.raises(ValueError, match="^duplicate edge \\(1, 3\\)$"):
+        EdgeBicoloredGraph.from_edges(3, plus=[(3, 1)], minus=[(1, 3)])
+    # Plus edges are checked before Minus edges, each list in order
+    with pytest.raises(ValueError, match="^duplicate edge \\(1, 2\\)$"):
+        EdgeBicoloredGraph.from_edges(3, plus=[(1, 2), (2, 1)], minus=[(1, 4)])
+    # 2.0 equals 2, but a vertex is an int: the edge is refused, not stored
+    with pytest.raises(TypeError):
+        EdgeBicoloredGraph.from_edges(3, plus=[(1, 2.0)])
 
 
 def test_from_digits_validation():
@@ -155,8 +169,14 @@ def _check_every_path(n, digits, rng):
     graphs the matrix-checking constructor builds from the same colors;
     returns whether a filtration was checked."""
     upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    ref = _checked(n, ((i, j, d) for (i, j), d in zip(upper, digits)))
     g = EdgeBicoloredGraph.from_digits(n, digits)
-    _assert_same_graph(g, _checked(n, ((i, j, d) for (i, j), d in zip(upper, digits))))
+    _assert_same_graph(g, ref)
+    # half of the edges are listed larger end first
+    edges = {c: [(j, i) if (i + j) % 2 else (i, j) for (i, j), d in zip(upper, digits) if d == c]
+             for c in (PLUS, MINUS)}
+    _assert_same_graph(EdgeBicoloredGraph.from_edges(n, plus=edges[PLUS], minus=edges[MINUS]),
+                       ref)
     _assert_same_graph(color_swap(g), _checked(n, ((i, j, SWAPPED[g.mat[i][j]])
                                                    for i, j in upper)))
     perm = (0, *rng.sample(range(1, n + 1), n))
