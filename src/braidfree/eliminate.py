@@ -32,7 +32,7 @@ import functools
 import itertools
 
 from ._record import record
-from .graphs import ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph, pair_list
+from .graphs import ABSENT, MINUS, PLUS, SWAPPED, EdgeBicoloredGraph, _slot
 
 
 def _inverse(perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -244,11 +244,10 @@ def complete_filtration(g: EdgeBicoloredGraph, nu: Ordering) -> Filtration:
             mat[l][j] = mat[j][l] = ABSENT
     additions = tuple(reversed(deletions))
 
-    slot = {pair: t for t, pair in enumerate(pair_list(n))}
-    digits = [ABSENT] * len(slot)
+    digits = [ABSENT] * (n * (n - 1) // 2)
     steps = [EdgeBicoloredGraph._from_valid_digits(n, tuple(digits))]
-    for edge, color in additions:
-        digits[slot[edge]] = color
+    for (i, j), color in additions:
+        digits[_slot(n, i, j)] = color
         step = EdgeBicoloredGraph._from_valid_digits(n, tuple(digits))
         if not is_valid_ordering(step, nu):
             raise AssertionError("filtration stage lost the elimination ordering")

@@ -10,7 +10,7 @@ builder, ``EdgeBicoloredGraph._from_valid_digits``, from the graph's digit
 string (its upper-triangle codes in row-major order); the builder checks
 nothing.  Each entry point checks its input once, in the form it arrives:
 ``EdgeBicoloredGraph(n, mat)`` checks the matrix (shape, zero diagonal,
-symmetry and codes), keeps it and takes its masks from the builder;
+symmetry and codes), then keeps the builder's matrix and masks for its digits;
 ``from_edges`` checks each edge (range, self-loop, duplicate) and hands its
 digits to ``from_digits``, which checks n, the digit count and the codes.
 A graph derived from a valid one (``induced_subgraph``, ``permute_graph``,
@@ -55,6 +55,12 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def _slot(n: int, i: int, j: int) -> int:
+    """The index of the pair (i, j), 1 <= i < j <= n, in ``pair_list(n)``
+    (a float vertex gives a float, which no list takes as an index)."""
+    return (i - 1) * (2 * n - i) // 2 + j - i - 1
+
+
 @functools.cache
 def _digit_plan(n: int):
     """How a digit string becomes a graph on n vertices: one getter per
@@ -75,7 +81,7 @@ class EdgeBicoloredGraph:
     """A graph on vertices 1..n whose edges split into Plus and Minus classes.
 
     ``mat[i][j]`` holds the color code of the pair {i,j} (row and column 0 are
-    unused padding); the matrix is symmetric with zero diagonal.  Bit u of
+    ABSENT padding); the tuple matrix is symmetric with zero diagonal.  Bit u of
     ``adjacency[c][v]`` is set when u != v and the pair {v,u} has color code
     c (index 0 of each row is unused); it is derived from ``mat``, so it
     takes no part in equality, hashing or ``repr``.
@@ -101,7 +107,9 @@ class EdgeBicoloredGraph:
                     raise ValueError("color matrix must be symmetric")
                 if type(c) is not int or c not in _CODES:
                     raise ValueError("unknown edge color code")
-        object.__setattr__(self, "adjacency", self._from_valid_digits(n, self.digits()).adjacency)
+        built = self._from_valid_digits(n, self.digits())
+        object.__setattr__(self, "mat", built.mat)
+        object.__setattr__(self, "adjacency", built.adjacency)
 
     @classmethod
     def _from_valid_digits(cls, n: int, digits: tuple) -> "EdgeBicoloredGraph":
@@ -122,13 +130,14 @@ class EdgeBicoloredGraph:
 
     @classmethod
     def from_edges(cls, n: int, plus=(), minus=()) -> "EdgeBicoloredGraph":
-        digits = [ABSENT] * (n * (n - 1) // 2)
+        m = max(n, 0)   # on n <= 0 an edge is refused first, then n itself
+        digits = [ABSENT] * (m * (m - 1) // 2)
         for color, edges in ((PLUS, plus), (MINUS, minus)):
             for i, j in edges:
                 if not (1 <= i <= n and 1 <= j <= n) or i == j:
                     raise ValueError(f"bad edge ({i},{j}) on {n} vertices")
                 i, j = min(i, j), max(i, j)
-                t = (i - 1) * (2 * n - i) // 2 + j - i - 1   # the slot of (i, j) in pair_list(n)
+                t = _slot(n, i, j)
                 if digits[t] != ABSENT:
                     raise ValueError(f"duplicate edge {(i, j)}")
                 digits[t] = color

@@ -177,6 +177,14 @@ def test_malformed_files_exit_two(tmp_path, capsys):
                        {"vertices": 3, "arcs": [[1, 2], [1, 2]]})]) == 2
     capsys.readouterr()
     assert main(["classify", "--graph", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    # a large negative vertex count is refused, not sized into a digit list
+    negative = {"vertices": -100000, "plus": [], "minus": []}
+    assert main(["classify", "--graph", write(tmp_path, "neg.json", negative)]) == 2
+    assert "vertex count must be positive" in capsys.readouterr().err
+    assert main(["oracle", "--spec",
+                 write(tmp_path, "negspec.json", {"graph": negative, "k": 0})]) == 2
+    assert "vertex count must be positive" in capsys.readouterr().err
 
 
 def test_internal_assertion_exits_three(tmp_path, capsys, monkeypatch):

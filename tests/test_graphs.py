@@ -98,8 +98,9 @@ def test_from_edges_validation():
         EdgeBicoloredGraph.from_edges(3, plus=[(1, 2)], minus=[(2, 1)])
     with pytest.raises(ValueError):
         EdgeBicoloredGraph.from_edges(3, plus=[(1, 2), (2, 1)])
-    # on n <= 0 an edge is refused before the vertex count is
-    for n in (0, -2):
+    # on n <= 0 an edge is refused before the vertex count is, and a large
+    # negative n is refused without sizing a list of C(n,2) digits
+    for n in (0, -2, -10**6):
         with pytest.raises(ValueError, match=f"^bad edge \\(1,2\\) on {n} vertices$"):
             EdgeBicoloredGraph.from_edges(n, plus=[(1, 2)])
         with pytest.raises(ValueError, match="^vertex count must be positive$"):
@@ -136,6 +137,19 @@ def test_codes_equal_to_a_valid_code_are_refused(bad):
     mat[1][3] = mat[3][1] = bad
     with pytest.raises(ValueError, match="^unknown edge color code$"):
         EdgeBicoloredGraph(3, tuple(map(tuple, mat)))
+
+
+def test_checked_constructor_keeps_only_the_colors():
+    # the padding row and column and the row types of the given matrix are
+    # not kept: the graph equals, and hashes like, the one of its digits
+    ref = EdgeBicoloredGraph.from_digits(3, (1, 0, 2))
+    padded = ((7, 7, 7, 7), (7, 0, 1, 0), (7, 1, 0, 2), (7, 0, 2, 0))
+    lists = [[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 2], [0, 0, 2, 0]]
+    for mat in (padded, lists):
+        g = EdgeBicoloredGraph(3, mat)
+        assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
+        assert g.mat == ref.mat and g.adjacency == ref.adjacency
+        assert canonical_key(g) == canonical_key(ref)
 
 
 def _reference_masks(mat):
