@@ -18,8 +18,8 @@ from .multibraid import (CharPoly, MultiBraidSpec, Verdict, char_poly, classify,
 from .oracle import (FREE, INCONCLUSIVE, NONFREE, DerivationElement,
                      FreenessCertificate, MultiArrangement, freeness_verdict,
                      graded_dimension, minimal_generators, saito_check)
-from .deform import (AffineArrangement, DeformationSpec, DeformationVerdict,
-                     UNDETERMINED, build_and_cone, check_a1_a2,
-                     deformation_verdict, ziegler_spec)
+from .deform import (DeformationSpec, DeformationVerdict, UNDETERMINED,
+                     build_and_cone, check_a1_a2, deformation_verdict,
+                     ziegler_spec)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,11 +2,11 @@
 
 A digraph G on vertices 1..l+1 and a level k define the affine arrangement
 x_i - x_j = -k - e(i,j), -k, ..., k, k + e(j,i) (i < j), where e(i,j) is 1
-exactly when the arc (i,j) is present.  Coning adds a homogenizing
-coordinate and the infinity hyperplane; restricting to infinity with
-hyperplane-counting multiplicities lands back in the multi-braid setting, at
-level k+1 with Plus / Absent / Minus recording two / one / zero arcs between
-a pair.
+exactly when the arc (i,j) is present.  Its cone (``build_and_cone``, the
+only arrangement built here) adds a homogenizing coordinate and the infinity
+hyperplane; restricting to infinity with hyperplane-counting multiplicities
+lands back in the multi-braid setting, at level k+1 with Plus / Absent /
+Minus recording two / one / zero arcs between a pair.
 
 The verdict is three-way.  Conditions (A1)/(A2) holding proves the cone free
 (this is the proven direction of Athanasiadis's conjectured
@@ -33,14 +33,6 @@ class DeformationSpec:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be non-negative")
-
-
-@record(frozen=True)
-class AffineArrangement:
-    """Deduplicated affine hyperplanes (normal, constant): normal . x = constant."""
-
-    dim: int
-    hyperplanes: tuple[tuple[tuple[int, ...], int], ...]
 
 
 @record(frozen=True)
@@ -85,29 +77,25 @@ def _constants(spec: DeformationSpec, i: int, j: int) -> range:
     return range(-spec.k - e_ij, spec.k + e_ji + 1)
 
 
-def build_and_cone(spec: DeformationSpec):
-    """The affine arrangement of the deformation and its cone.
+def build_and_cone(spec: DeformationSpec) -> MultiArrangement:
+    """The cone of the deformation, in one more coordinate z.
 
-    The cone lives in one more coordinate z: each affine sheet
-    x_i - x_j = c becomes x_i - x_j - c z = 0, and the infinity hyperplane
-    z = 0 joins in.  Every hyperplane of the cone is simple (multiplicity 1).
+    Each affine sheet x_i - x_j = c becomes x_i - x_j - c z = 0, pair by
+    pair in ``pair_list`` order and by increasing c, and the infinity
+    hyperplane z = 0 comes last.  Every hyperplane of the cone is simple
+    (multiplicity 1).
     """
     n = spec.digraph.n
     if n < 2:
         raise ValueError("a deformation needs at least two vertices")
-    affine = []
     coned = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            normal = [0] * n
-            normal[i - 1] = 1
-            normal[j - 1] = -1
-            for c in _constants(spec, i, j):
-                affine.append((tuple(normal), c))
-                coned.append((tuple(normal) + (-c,), 1))
+    for i, j in pair_list(n):
+        for c in _constants(spec, i, j):
+            normal = [0] * (n + 1)
+            normal[i - 1], normal[j - 1], normal[n] = 1, -1, -c
+            coned.append((tuple(normal), 1))
     coned.append(((0,) * n + (1,), 1))
-    return (AffineArrangement(n, tuple(affine)),
-            MultiArrangement(n + 1, tuple(coned)))
+    return MultiArrangement(n + 1, tuple(coned))
 
 
 def ziegler_spec(spec: DeformationSpec) -> MultiBraidSpec:

@@ -199,11 +199,14 @@ def euler_multiplicity(mults, m0: int) -> int:
 def rank2_exponents(mults) -> tuple[int, int]:
     """Exponent pair of a rank-2 flat with 2 or 3 hyperplanes.
 
-    Two lines split as a product: (m_1, m_2).  For three lines the closed
-    form is d1 = max(largest multiplicity, ceil(total/2)), d2 = total - d1;
-    it is validated exhaustively against the kernel oracle by
-    ``validate_rank2_closed_form`` (and by the test suite) before being
-    trusted anywhere.
+    Two lines split as a product: (m_1, m_2).  Three lines with largest
+    multiplicity m have exponents (m, total - m) when 2m >= total and
+    (ceil(total/2), floor(total/2)) otherwise (A. Wakamiko, On the exponents
+    of 2-multiarrangements, Tokyo J. Math. 30 (2007)); any three distinct
+    lines of a plane are linearly equivalent, so only the multiplicities
+    matter.  Nothing checks this at run time: ``validate_rank2_closed_form``
+    compares it with the kernel oracle, which the test suite runs on every
+    tuple of total at most 12; ``lmp2`` also reads larger totals.
     """
     ms = sorted(mults, reverse=True)
     if any(m < 1 for m in ms):

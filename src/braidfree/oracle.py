@@ -16,22 +16,20 @@ Internally a non-essential arrangement is reduced to its essential rank: the
 derivation module splits as (essential module tensored with the center
 polynomials) plus a free summand of center directions, which turns sweeps
 over braid-type arrangements from minutes into milliseconds.  The essential
-coordinates are the pivot columns of one echelon table of the normals, so
-the essential normal of H is its restriction to those columns (braid normals
-x_i - x_j stay two-term), and the center directions are the table's kernel
-vectors.  The pivot columns are chosen, not taken in column order: of the
-column sets on which the normals have full rank, the one on which the most
-multiplicity has a single nonzero entry, so that the heaviest hyperplanes
-become coordinate hyperplanes (a braid spec is read in y_t = x_t - x_v, with
-v its vertex of largest incident multiplicity).  The Saito test of a
-candidate basis lifts nothing: at one seeded integer point p it evaluates
-the essential generators at y = B p (the rows b_t of B are the essential
-coordinate forms), places the values at the pivot columns and adds the
-center vectors, and ranks those rows.  A Free certificate keeps its
+coordinates are the pivot columns of one echelon table of the normals,
+chosen so that the heaviest hyperplanes become coordinate hyperplanes (a
+braid spec is read in y_t = x_t - x_v, with v its vertex of largest incident
+multiplicity; ``_essential_form`` states the rule).  The essential normal of
+H is its restriction to those columns (braid normals x_i - x_j stay
+two-term), and the center directions are the table's kernel vectors.  The
+Saito test of a candidate basis lifts nothing: at one seeded integer point p
+it evaluates the essential generators at y = B p (the rows b_t of B are the
+essential coordinate forms), places the values at the pivot columns and adds
+the center vectors, and ranks those rows.  A Free certificate keeps its
 essential basis; its ambient generators are lifted by an integer
-substitution when first read.  All reported tables, generators
-and Saito checks are in the original ambient coordinates, and the whole path
-is integer arithmetic.
+substitution when first read.  All reported tables, generators and Saito
+checks are in the original ambient coordinates, and the whole path is
+integer arithmetic.
 
 One per-degree scan computes every graded piece: ``graded_dimension``,
 ``minimal_generators`` and ``freeness_verdict`` all read its tables.  At
@@ -388,54 +386,28 @@ def coordinate_derivations(n: int) -> list[DerivationElement]:
 @record(frozen=True)
 class _EssentialForm:
     ess: MultiArrangement | None   # None when there are no hyperplanes
-    pivots: tuple      # the chosen pivot columns p_1 < ... < p_r (``_pivot_columns``)
+    pivots: tuple      # the essential coordinates' columns p_1 < ... < p_r
     forms: tuple       # integer rows b_t, y_t = b_t . x; D * normal = sum_t normal[p_t] * b_t
     center: tuple      # kernel vectors k_c of the normals, one per free column c
-
-
-def _pivot_columns(a: MultiArrangement, first: tuple, center: list) -> tuple:
-    """The essential coordinates' columns P: among the column sets on which
-    the normals have full rank, the one of highest score, the smallest in
-    lexicographic order on a tie.  The score of P is the total multiplicity
-    of the hyperplanes whose normal has exactly one nonzero entry on P, that
-    is, which become coordinate hyperplanes.
-
-    ``first`` is the smallest such set (the pivot columns of the echelon
-    table in column order) and ``center`` its kernel vectors.  The normals
-    have full rank on P exactly when no nonzero center vector is supported
-    on P, that is, when the center vectors restricted to the complement of
-    P are independent; the sets are tried best first, and ``first`` needs
-    no test.
-    """
-    n, r = a.dim, len(first)
-
-    def score(cols):
-        return sum(mult for normal, mult in a.hyperplanes
-                   if sum(1 for c in cols if normal[c]) == 1)
-
-    def is_basis(cols):
-        free = [c for c in range(n) if c not in cols]
-        return ReducedSpan(n - r, ([k[c] for c in free] for k in center)).rank == n - r
-
-    ranked = sorted((-score(cols), cols) for cols in combinations(range(n), r))
-    return next(cols for _, cols in ranked if cols == first or is_basis(cols))
 
 
 def _essential_form(a: MultiArrangement) -> _EssentialForm:
     """Essential coordinates read off one echelon table of the normals.
 
-    The pivot columns P are those ``_pivot_columns`` chooses, so that the
-    heaviest hyperplanes become coordinate hyperplanes and the degree scan
-    leaves their columns out as dead; for a braid spec the center of the
-    coordinates is the vertex of largest incident multiplicity.  The table
-    is eliminated with the columns of P ordered first, so its pivot columns
-    are P (the table in natural column order already has them when P is the
-    smallest basis).  Restriction to P is injective on the span of the
-    normals, so H has essential normal primitive(normal restricted to P).
-    The kernel vector k_c of a free column c is supported on {c} and P; with
-    D = lcm |k_c[c]| (``scale``), the integer forms b_t = D e_{p_t} -
-    sum_c (D k_c[p_t] / k_c[c]) e_c are orthogonal to every k_c and so span
-    the normals.
+    With r the rank of the normals, the essential coordinates' columns P
+    are, among the r-column sets on which the normals have rank r, the one
+    of highest score, the smallest in lexicographic order on a tie.  The
+    score of P is the total multiplicity of the hyperplanes whose normal has
+    exactly one nonzero entry on P: the heaviest hyperplanes become
+    coordinate hyperplanes, and the degree scan leaves their columns out as
+    dead; for a braid spec the center of the coordinates is the vertex of
+    largest incident multiplicity.  The normals are eliminated once, with
+    the columns of P ordered first, so the table's pivot columns are P.
+    Restriction to P is injective on the span of the normals, so H has
+    essential normal primitive(normal restricted to P).  The kernel vector
+    k_c of a free column c is supported on {c} and P; with D = lcm |k_c[c]|
+    (``scale``), the integer forms b_t = D e_{p_t} - sum_c (D k_c[p_t] /
+    k_c[c]) e_c are orthogonal to every k_c and so span the normals.
 
     Nothing else depends on which basis P is.  The form b_s is D at p_s and
     0 at the other columns of P, so the lift of sum_t g_t d/dy_t, which puts
@@ -446,16 +418,19 @@ def _essential_form(a: MultiArrangement) -> _EssentialForm:
     """
     n = a.dim
     normals = [normal for normal, _ in a.hyperplanes]
-    span = ReducedSpan(n, normals)
-    center = [tuple(k.get(i, 0) for i in range(n)) for k in span.kernel()]
-    first = tuple(sorted(span.pivots))
-    pivots = _pivot_columns(a, first, center)
+    r = ReducedSpan(n, normals).rank
+
+    def score(cols):
+        return sum(mult for normal, mult in a.hyperplanes
+                   if sum(1 for c in cols if normal[c]) == 1)
+
+    ranked = sorted((-score(cols), cols) for cols in combinations(range(n), r))
+    pivots = next(cols for _, cols in ranked
+                  if ReducedSpan(r, ([normal[c] for c in cols] for normal in normals)).rank == r)
     free = [c for c in range(n) if c not in pivots]
-    if pivots != first:
-        order = [*pivots, *free]
-        span = ReducedSpan(n, ([normal[c] for c in order] for normal in normals))
-        center = [tuple(k.get(order.index(i), 0) for i in range(n)) for k in span.kernel()]
-    center = tuple(center)
+    order = [*pivots, *free]
+    span = ReducedSpan(n, ([normal[c] for c in order] for normal in normals))
+    center = tuple(tuple(k.get(order.index(i), 0) for i in range(n)) for k in span.kernel())
     scale = lcm(*(abs(k[c]) for k, c in zip(center, free)))
     forms = []
     for p in pivots:
@@ -676,10 +651,11 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
         raise ValueError("degree budget must be non-negative")
     form = _essential_form(a)
     if not a.hyperplanes:
+        top = 0 if want_verdict else budget    # a verdict stops where certified
         return FreenessCertificate(
             status=FREE, ambient_dim=n, multiplicity_sum=0,
             generator_degrees=(0,) * n,
-            dimension_table={d: n * _mono_count(n, d) for d in range(budget + 1)},
+            dimension_table={d: n * _mono_count(n, d) for d in range(top + 1)},
             new_generator_table={0: n}, saito_point=(1,) * n,
             seed=seed, budget=budget,
             essential_form=form, essential_generators=())

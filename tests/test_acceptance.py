@@ -210,7 +210,7 @@ def test_criterion_10_deformation_sweep():
             arcs = [p for p, b in zip(pairs, bits) if b]
             spec = DeformationSpec(DirectedGraph.from_arcs(3, arcs), 0)
             verdict = deformation_verdict(spec)
-            _, cone = build_and_cone(spec)
+            cone = build_and_cone(spec)
             cert = freeness_verdict(cone)
             tallies[(verdict.status, cert.status)] += 1
             if verdict.status == FREE:

@@ -134,6 +134,21 @@ def test_oracle_spec(tmp_path, capsys):
     assert result["generator_degrees"] == [0, 3, 3]
 
 
+@pytest.mark.parametrize("spec", [
+    {"k": 1, "n": [0], "graph": {"vertices": 1, "plus": [], "minus": []}},
+    {"k": 0, "n": [0, 0, 0], "graph": EDGELESS3},
+])
+def test_oracle_on_no_hyperplanes_stops_at_degree_zero(tmp_path, capsys, spec):
+    # every multiplicity is 0: Free at degree 0, however large the budget
+    rc, out = run(capsys, "oracle", "--spec", write(tmp_path, "s.json", spec),
+                  "--budget", "1000000000")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    dim = len(spec["n"])
+    assert result["status"] == "Free" and result["multiplicity_sum"] == 0
+    assert result["dimension_table"] == result["new_generator_table"] == {"0": dim}
+
+
 def test_oracle_arrangement(tmp_path, capsys):
     arr = {"dim": 2, "hyperplanes": [
         {"normal": [1, 0], "mult": 1}, {"normal": [0, 1], "mult": 1},

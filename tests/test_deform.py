@@ -28,26 +28,36 @@ def test_check_a1_a2_examples():
     assert (a1, a2) == (False, True) and witness == (1, 2, 3)
 
 
+def sheet_constants(cone):
+    """The affine sheets' constants c, each read off its cone hyperplane
+    x_i - x_j - c z = 0 as minus its z-coefficient; the infinity hyperplane
+    z = 0 comes last and is not a sheet."""
+    n = cone.dim - 1
+    assert cone.hyperplanes[-1] == ((0,) * n + (1,), 1)
+    return sorted(-normal[n] for normal, _ in cone.hyperplanes[:-1])
+
+
 def test_build_and_cone_examples():
-    aff, cone = build_and_cone(DeformationSpec(digraph(2, []), 0))
-    assert len(aff.hyperplanes) == 1
+    cone = build_and_cone(DeformationSpec(digraph(2, []), 0))
+    assert sheet_constants(cone) == [0]
     assert len(cone.hyperplanes) == 2
 
-    aff, _ = build_and_cone(DeformationSpec(digraph(2, [(1, 2), (2, 1)]), 0))
-    assert sorted(c for _, c in aff.hyperplanes) == [-1, 0, 1]
+    cone = build_and_cone(DeformationSpec(digraph(2, [(1, 2), (2, 1)]), 0))
+    assert sheet_constants(cone) == [-1, 0, 1]
 
-    aff, _ = build_and_cone(DeformationSpec(digraph(2, [(1, 2)]), 1))
-    assert sorted(c for _, c in aff.hyperplanes) == [-2, -1, 0, 1]
+    cone = build_and_cone(DeformationSpec(digraph(2, [(1, 2)]), 1))
+    assert sheet_constants(cone) == [-2, -1, 0, 1]
 
 
 def test_cone_is_simple_and_counts_match():
     for g in (digraph(3, [(1, 2)]), digraph(3, [(1, 2), (2, 1), (3, 1)])):
         spec = DeformationSpec(g, 0)
-        aff, cone = build_and_cone(spec)
+        cone = build_and_cone(spec)
         assert all(m == 1 for _, m in cone.hyperplanes)
-        assert len(cone.hyperplanes) == len(aff.hyperplanes) + 1
+        sheets = sheet_constants(cone)
+        assert len(cone.hyperplanes) == len(sheets) + 1
         # total restricted multiplicity equals the number of affine sheets
-        assert ziegler_spec(spec).multiplicity_sum == len(aff.hyperplanes)
+        assert ziegler_spec(spec).multiplicity_sum == len(sheets)
 
 
 def test_ziegler_spec_examples():

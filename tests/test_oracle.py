@@ -89,6 +89,9 @@ def test_minimal_generators_examples():
     empty = MultiArrangement(3, ())
     cert = minimal_generators(empty)
     assert cert.new_generator_table[0] == 3 and cert.generator_degrees == (0, 0, 0)
+    # the generator table lists every degree up to the budget, even when empty
+    assert minimal_generators(empty, budget=4).dimension_table == {0: 3, 1: 9, 2: 18, 3: 30, 4: 45}
+    assert graded_dimension(empty, 4) == 45
 
     cert = minimal_generators(BRAID3)
     assert cert.generator_degrees == (0, 1, 2)
@@ -104,6 +107,10 @@ def test_freeness_verdict_classics():
     empty = MultiArrangement(4, ())
     cert = freeness_verdict(empty)
     assert cert.status == FREE and cert.generator_degrees == (0, 0, 0, 0)
+    # certified at degree 0, the verdict stops there whatever the budget
+    cert = freeness_verdict(empty, budget=10**9)
+    assert cert.dimension_table == {0: 4} and cert.new_generator_table == {0: 4}
+    assert cert.budget == 10**9
 
 
 def test_free_certificate_has_hilbert_consistent_table():
@@ -383,7 +390,7 @@ def _cone_arrangements():
     """The 4-vertex deformation cones at k=1 that perfbench's oracle-deep draws."""
     cones = json.loads((ROOT / "perfbench" / "data" / "cones.json").read_text(encoding="utf-8"))
     return [build_and_cone(DeformationSpec(DirectedGraph.from_arcs(
-        4, [tuple(arc) for arc in cone["arcs"]]), 1))[1] for cone in cones]
+        4, [tuple(arc) for arc in cone["arcs"]]), 1)) for cone in cones]
 
 
 def test_new_generator_counts_match_a_basis_free_reference():
@@ -608,6 +615,9 @@ def test_braid_spec_takes_its_heaviest_vertex_as_the_center():
     # the k=2 spec of perfbench's oracle-deep: Plus 12, 13 make vertex 1 the center
     spec_k2 = to_arrangement(braid_spec(2, (0,) * 5, plus=[(1, 2), (1, 3)], minus=[(3, 4)], count=5))
     assert _assert_form_follows_the_rule(spec_k2).pivots == (1, 2, 3, 4)
+    # the oracle sweep's traffic: every five-vertex class at k=1
+    for row in CLASSES5:
+        _assert_form_follows_the_rule(_k1_arrangement(row["digits"]))
 
 
 def test_deformation_cones_keep_the_first_basis():

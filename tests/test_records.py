@@ -1,13 +1,13 @@
 """The record classes behave as the ``dataclasses`` classes they replace:
 constructor, equality, hashing, ``repr``, frozenness and pickling, on one
-instance of each of the 19 records."""
+instance of each of the 18 records."""
 
 import pickle
 
 import pytest
 
-from braidfree.deform import (AffineArrangement, DeformationSpec, build_and_cone,
-                              deformation_verdict)
+from braidfree._record import record
+from braidfree.deform import DeformationSpec, deformation_verdict
 from braidfree.eliminate import (HillWitness, MountainWitness, Ordering, complete_filtration,
                                  find_ordering, is_eliminable, structural_check)
 from braidfree.graphs import MINUS, PLUS, DirectedGraph, EdgeBicoloredGraph, GraphClass
@@ -41,7 +41,6 @@ def _instances() -> dict:
         "FreenessCertificate": cert,
         "_EssentialForm": cert.essential_form,
         "DeformationSpec": dspec,
-        "AffineArrangement": build_and_cone(dspec)[0],
         "DeformationVerdict": deformation_verdict(dspec),
     }
 
@@ -70,7 +69,6 @@ FIELDS = {
                             "budget", "note", "essential_form", "essential_generators"),
     "_EssentialForm": ("ess", "pivots", "forms", "center"),
     "DeformationSpec": ("digraph", "k"),
-    "AffineArrangement": ("dim", "hyperplanes"),
     "DeformationVerdict": ("status", "a1", "a2", "witness_triple", "ziegler",
                            "ziegler_verdict", "note"),
 }
@@ -94,7 +92,6 @@ REPRS = {
     'FreenessCertificate': "FreenessCertificate(status='Free', ambient_dim=2, multiplicity_sum=4, generator_degrees=(2, 2), dimension_table={0: 0, 1: 0, 2: 2}, new_generator_table={0: 0, 1: 0, 2: 2}, saito_point=(5, 7), seed=0, budget=4, note=None)",
     '_EssentialForm': '_EssentialForm(ess=MultiArrangement(dim=2, hyperplanes=(((1, 0), 2), ((0, 1), 1), ((1, -1), 1))), pivots=(0, 1), forms=((1, 0), (0, 1)), center=())',
     'DeformationSpec': 'DeformationSpec(digraph=DirectedGraph(n=3, arcs=frozenset({(2, 3), (1, 2)})), k=0)',
-    'AffineArrangement': 'AffineArrangement(dim=3, hyperplanes=(((1, -1, 0), -1), ((1, -1, 0), 0), ((1, 0, -1), 0), ((0, 1, -1), -1), ((0, 1, -1), 0)))',
     'DeformationVerdict': 'DeformationVerdict(status=\'Undetermined\', a1=False, a2=True, witness_triple=(1, 2, 3), ziegler=MultiBraidSpec(k=1, n=(0, 0, 0), graph=EdgeBicoloredGraph(n=3, mat=((0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 0), (0, 2, 0, 0)))), ziegler_verdict=Verdict(status=\'Free\', condition=\'a\', exponents=(0, 2, 3), ordering=Ordering(ranks=(3, 1, 2), by_rank=(2, 3, 1)), tilde=(0, 0, -1), structural=StructuralReport(graph=EdgeBicoloredGraph(n=3, mat=((0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 0), (0, 2, 0, 0))))), note="conditions (A1)/(A2) fail but the restriction to infinity is free; the converse direction of Athanasiadis\'s conjecture is open, so no verdict is claimed")',
 }
 
@@ -108,7 +105,7 @@ def _values(name):
 
 
 def test_every_record_is_covered():
-    assert len(NAMES) == 19
+    assert len(NAMES) == 18
     assert set(NAMES) == set(FIELDS) == set(REPRS)
     for name, x in INSTANCES.items():
         assert type(x).__name__ == name
@@ -125,10 +122,16 @@ def test_equality_compares_the_fields_within_one_class(name):
     assert x != object() and x != tuple(_values(name))
 
 
+@record(frozen=True)
+class _SameFields:
+    dim: int
+    hyperplanes: tuple
+
+
 def test_records_of_different_classes_with_equal_fields_differ():
     hyps = (((1, 0), 1), ((0, 1), 1))
-    multi, affine = MultiArrangement(2, hyps), AffineArrangement(2, hyps)
-    assert multi != affine and not multi == affine
+    multi, other = MultiArrangement(2, hyps), _SameFields(2, hyps)
+    assert multi != other and not multi == other
 
 
 @pytest.mark.parametrize("name", FROZEN)
