@@ -129,15 +129,12 @@ def deformation_verdict(spec: DeformationSpec) -> DeformationVerdict:
             raise AssertionError(
                 "conditions (A1)/(A2) hold but the infinity restriction is not "
                 "free; this is a bug")
-        return DeformationVerdict(
-            FREE, a1, a2, witness, z, zv,
-            "conditions (A1) and (A2) hold, so the cone is free")
-    if zv.status == NONFREE:
-        return DeformationVerdict(
-            NONFREE, a1, a2, witness, z, zv,
-            "the restriction to infinity is non-free, so the cone is non-free")
-    return DeformationVerdict(
-        UNDETERMINED, a1, a2, witness, z, zv,
-        "conditions (A1)/(A2) fail but the restriction to infinity is free; "
-        "the converse direction of Athanasiadis's conjecture is open, so no "
-        "verdict is claimed")
+        status, note = FREE, "conditions (A1) and (A2) hold, so the cone is free"
+    elif zv.status == NONFREE:
+        status, note = NONFREE, "the restriction to infinity is non-free, so the cone is non-free"
+    else:
+        status, note = UNDETERMINED, (
+            "conditions (A1)/(A2) fail but the restriction to infinity is free; "
+            "the converse direction of Athanasiadis's conjecture is open, so no "
+            "verdict is claimed")
+    return DeformationVerdict(status, a1, a2, witness, z, zv, note)

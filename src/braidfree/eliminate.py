@@ -209,39 +209,33 @@ def complete_filtration(g: EdgeBicoloredGraph, nu: Ordering) -> Filtration:
     among its lower neighbors with the precedence  i < j  when {i,j} and
     {i,l} share a color while {j,l} has the other one, delete the edge {j,l}
     for a maximal j (ties broken toward the largest vertex index, so the
-    reversed additions list each block smallest partner first).  Every
-    intermediate stage is checked against the ordering; a failure there is an
-    internal bug.
+    reversed additions list each block smallest partner first).  The edges
+    among l's lower neighbors are never deleted before l's block, so the
+    precedence reads the input's adjacency masks, with l's remaining lower
+    neighbors kept as one mask.  Every intermediate stage is checked against
+    the ordering; a failure there is an internal bug.
     """
     if not is_valid_ordering(g, nu):
         raise ValueError("not a bicolor-elimination ordering for this graph")
-    n = g.n
-    mat = [list(row) for row in g.mat]
+    n, mat, adj = g.n, g.mat, g.adjacency
     by = nu.by_rank
+    lower = sum(1 << v for v in by)
     deletions = []
-    for top in range(n - 1, 0, -1):
-        l = by[top]
-        row_l = mat[l]
-        while True:
-            nb = [by[x] for x in range(top) if row_l[by[x]]]
-            if not nb:
-                break
-            maximal = []
-            for j in nb:
-                cjl = row_l[j]
-                row_j = mat[j]
-                # j is maximal unless some i has {j,i} colored like {j,l}
-                # while {i,l} carries the other color
-                if not any(row_j[i] == cjl and row_l[i] == SWAPPED[cjl]
-                           for i in nb if i != j):
-                    maximal.append(j)
-            # the precedence is a partial order on the neighbors, so maximal
-            # elements always exist under a valid ordering
-            if not maximal:
+    for l in reversed(by[1:]):
+        lower ^= 1 << l
+        row = mat[l]
+        left = (adj[PLUS][l] | adj[MINUS][l]) & lower   # l's remaining lower neighbors
+        while left:
+            # j is maximal unless some remaining i has {j,i} colored like
+            # {j,l} while {i,l} carries the other color; the precedence is a
+            # partial order on the neighbors, so maximal elements always exist
+            # under a valid ordering
+            j = next((j for j in range(n, 0, -1) if left >> j & 1
+                      and not adj[row[j]][j] & adj[SWAPPED[row[j]]][l] & left), 0)
+            if not j:
                 raise AssertionError("edge-deletion precedence has no maximal element")
-            j = max(maximal)
-            deletions.append(((min(j, l), max(j, l)), row_l[j]))
-            mat[l][j] = mat[j][l] = ABSENT
+            deletions.append(((min(j, l), max(j, l)), row[j]))
+            left ^= 1 << j
     additions = tuple(reversed(deletions))
 
     digits = [ABSENT] * (n * (n - 1) // 2)

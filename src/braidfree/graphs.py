@@ -16,7 +16,10 @@ digits to ``from_digits``, which checks n, the digit count and the codes.
 A graph derived from a valid one (``induced_subgraph``, ``permute_graph``,
 ``color_swap``, the representatives of ``enumerate_classes`` and each step
 of ``eliminate.complete_filtration``) has valid digits by construction and
-goes to the builder directly.
+goes to the builder directly.  A pair's place in the digit string comes
+from one formula, ``_slot``: the builder's row getters, the relabeling slot
+maps of ``canonical_key`` and ``enumerate_classes``, ``from_edges`` and the
+filtration steps all read it.
 
 Canonical keys are computed by brute-force minimisation over all vertex
 relabelings, optionally composed with the global Plus/Minus swap; this is
@@ -64,14 +67,12 @@ def _slot(n: int, i: int, j: int) -> int:
 @functools.cache
 def _digit_plan(n: int):
     """How a digit string becomes a graph on n vertices: one getter per
-    matrix row that reads the row off the digits followed by one extra
-    ABSENT (the padding and the diagonal), and per pair (i, j) the bits
-    1 << i and 1 << j."""
+    matrix row that reads entry (i, j) off the digits at ``_slot`` of the
+    pair, and the padding and the diagonal off one extra ABSENT after the
+    digits; and per pair (i, j) the bits 1 << i and 1 << j."""
     pairs = pair_list(n)
-    slot = {}
-    for t, (i, j) in enumerate(pairs):
-        slot[i, j] = slot[j, i] = t
-    rows = tuple(itemgetter(*(slot.get((i, j), len(pairs)) for j in range(n + 1)))
+    rows = tuple(itemgetter(*(_slot(n, i, j) if 0 < i < j else _slot(n, j, i) if 0 < j < i
+                              else len(pairs) for j in range(n + 1)))
                  for i in range(n + 1))
     return rows, tuple((i, j, 1 << i, 1 << j) for i, j in pairs)
 
@@ -229,14 +230,9 @@ def _pair_slot_maps(n: int) -> tuple[tuple[int, ...], ...]:
     ``image[m[t]] = digits[t]`` realizes permute_graph on digit strings.
     """
     pairs = pair_list(n)
-    index = {p: t for t, p in enumerate(pairs)}
-    maps = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        full = (0, *perm)
-        maps.append(tuple(
-            index[(full[i], full[j])] if full[i] < full[j] else index[(full[j], full[i])]
-            for i, j in pairs))
-    return tuple(maps)
+    return tuple(tuple([_slot(n, a, b) if a < b else _slot(n, b, a)
+                        for a, b in [(perm[i - 1], perm[j - 1]) for i, j in pairs]])
+                 for perm in itertools.permutations(range(1, n + 1)))
 
 
 def _orbit(digits, maps, include_swap: bool) -> set:

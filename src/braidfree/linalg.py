@@ -31,9 +31,8 @@ inserting every row.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 def _sparse(vec) -> dict:
@@ -186,22 +185,9 @@ class ReducedSpan:
 
 def primitive(vec) -> list[int]:
     """Scale a rational vector to a primitive integer one with positive lead."""
-    denom = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return ints
-
+    denom = lcm(*(x.denominator for x in vec))   # an int's denominator is 1
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints]

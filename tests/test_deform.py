@@ -3,6 +3,9 @@ restriction to infinity, and the three-way verdict."""
 
 import itertools
 
+import pytest
+
+from braidfree import deform
 from braidfree import (DeformationSpec, DirectedGraph, UNDETERMINED,
                        build_and_cone, check_a1_a2, classify,
                        deformation_verdict, ziegler_spec)
@@ -126,3 +129,28 @@ def test_ziegler_spec_colors_by_arc_count_on_every_three_vertex_digraph():
             assert all(z.graph.mat[i][j] == z.graph.mat[j][i] == color[g.has_arc(i, j)
                                                                       + g.has_arc(j, i)]
                        for i, j in itertools.combinations(range(1, 4), 2))
+
+
+def test_each_branch_keeps_its_note(monkeypatch):
+    cases = [
+        (digraph(4, []), FREE,
+         "conditions (A1) and (A2) hold, so the cone is free"),
+        (digraph(4, [(3, 2), (4, 1)]), NONFREE,
+         "the restriction to infinity is non-free, so the cone is non-free"),
+        (digraph(3, [(1, 2)]), UNDETERMINED,
+         "conditions (A1)/(A2) fail but the restriction to infinity is free; "
+         "the converse direction of Athanasiadis's conjecture is open, so no "
+         "verdict is claimed"),
+    ]
+    for g, status, note in cases:
+        spec = DeformationSpec(g, 0)
+        v = deformation_verdict(spec)
+        assert (v.status, v.note) == (status, note)
+        assert v.ziegler == ziegler_spec(spec)
+        assert (v.a1, v.a2, v.witness_triple) == check_a1_a2(g)
+    # (A1)/(A2) holding with a non-free restriction is an internal bug
+    nonfree = classify(ziegler_spec(DeformationSpec(digraph(4, [(3, 2), (4, 1)]), 0)))
+    monkeypatch.setattr(deform, "classify", lambda z: nonfree)
+    with pytest.raises(AssertionError, match=r"^conditions \(A1\)/\(A2\) hold but the "
+                       r"infinity restriction is not free; this is a bug$"):
+        deformation_verdict(DeformationSpec(digraph(4, []), 0))

@@ -12,10 +12,10 @@ from braidfree import (EdgeBicoloredGraph, Ordering, color_swap,
                        is_eliminable, is_valid_ordering, iter_valid_orderings,
                        permute_graph, structural_check, structurally_eliminable,
                        tilde_degrees)
-from braidfree.eliminate import (HillWitness, MountainWitness, StructuralReport,
-                                 find_bad_quadruple, find_hill, find_mountain,
-                                 is_chordal_one_color)
-from braidfree.graphs import ABSENT, MINUS, PLUS, SWAPPED, enumerate_classes
+from braidfree.eliminate import (Filtration, HillWitness, MountainWitness,
+                                 StructuralReport, find_bad_quadruple, find_hill,
+                                 find_mountain, is_chordal_one_color)
+from braidfree.graphs import ABSENT, MINUS, PLUS, SWAPPED, _slot, enumerate_classes
 
 MOUNTAIN = EdgeBicoloredGraph.from_edges(4, plus=[(2, 4)], minus=[(1, 2), (2, 3)])
 HILL = EdgeBicoloredGraph.from_edges(4, plus=[(3, 4), (1, 3), (2, 4)], minus=[(1, 2)])
@@ -241,6 +241,82 @@ def test_filtration_soundness_on_samples():
         # block structure: addition ranks never decrease
         tops = [max(nu.rank_of(i), nu.rank_of(j)) for (i, j), _ in filt.added_edges]
         assert tops == sorted(tops)
+
+
+def _reference_filtration(g, nu):
+    # the matrix-copy construction that complete_filtration replaced
+    if not is_valid_ordering(g, nu):
+        raise ValueError("not a bicolor-elimination ordering for this graph")
+    n = g.n
+    mat = [list(row) for row in g.mat]
+    by = nu.by_rank
+    deletions = []
+    for top in range(n - 1, 0, -1):
+        l = by[top]
+        row_l = mat[l]
+        while True:
+            nb = [by[x] for x in range(top) if row_l[by[x]]]
+            if not nb:
+                break
+            maximal = []
+            for j in nb:
+                cjl = row_l[j]
+                row_j = mat[j]
+                # j is maximal unless some i has {j,i} colored like {j,l}
+                # while {i,l} carries the other color
+                if not any(row_j[i] == cjl and row_l[i] == SWAPPED[cjl]
+                           for i in nb if i != j):
+                    maximal.append(j)
+            # the precedence is a partial order on the neighbors, so maximal
+            # elements always exist under a valid ordering
+            if not maximal:
+                raise AssertionError("edge-deletion precedence has no maximal element")
+            j = max(maximal)
+            deletions.append(((min(j, l), max(j, l)), row_l[j]))
+            mat[l][j] = mat[j][l] = ABSENT
+    additions = tuple(reversed(deletions))
+
+    digits = [ABSENT] * (n * (n - 1) // 2)
+    steps = [EdgeBicoloredGraph._from_valid_digits(n, tuple(digits))]
+    for (i, j), color in additions:
+        digits[_slot(n, i, j)] = color
+        step = EdgeBicoloredGraph._from_valid_digits(n, tuple(digits))
+        if not is_valid_ordering(step, nu):
+            raise AssertionError("filtration stage lost the elimination ordering")
+        steps.append(step)
+    if steps[-1] != g:
+        raise AssertionError("filtration did not rebuild the input graph")
+    return Filtration(tuple(steps), additions, nu)
+
+
+def _assert_filtration_matches_reference(g, nu):
+    filt, want = complete_filtration(g, nu), _reference_filtration(g, nu)
+    assert filt.added_edges == want.added_edges, (g.digits(), nu.by_rank)
+    assert filt.steps == want.steps
+
+
+def test_filtration_matches_matrix_copy_reference():
+    # every valid ordering of every eliminable no-swap class on 2-4
+    # vertices; find_ordering's alone on 5, where all of them take seconds
+    compared = 0
+    for n in range(2, 6):
+        for cls in enumerate_classes(n, include_swap=False):
+            g = cls.representative
+            orderings = list(iter_valid_orderings(g)) if n < 5 else [find_ordering(g)]
+            for nu in filter(None, orderings):
+                _assert_filtration_matches_reference(g, nu)
+                compared += 1
+    assert compared > 800
+    # 100 seeded eliminable 6- and 7-vertex graphs, relabeled at random, under
+    # the relabeled construction ordering and under find_ordering's
+    rng = random.Random(23)
+    for t in range(100):
+        n = 6 + t % 2
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        g = permute_graph(_eliminable_by_construction(rng, n), perm)
+        _assert_filtration_matches_reference(g, Ordering.from_by_rank(perm))
+        _assert_filtration_matches_reference(g, find_ordering(g))
 
 
 def test_structural_witnesses():

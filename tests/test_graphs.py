@@ -10,7 +10,7 @@ from braidfree import (MINUS, PLUS, DirectedGraph, EdgeBicoloredGraph,
                        UnsupportedSizeError, canonical_key, color_swap,
                        complete_filtration, enumerate_classes, find_ordering,
                        induced_subgraph, permute_graph)
-from braidfree.graphs import ABSENT, SWAPPED, pair_list
+from braidfree.graphs import ABSENT, SWAPPED, _digit_plan, _pair_slot_maps, pair_list
 
 
 def burnside_class_count(n, include_swap):
@@ -226,6 +226,26 @@ def test_every_construction_path_matches_the_checked_constructor():
             digits = [rng.choice(codes) for _ in range(n * (n - 1) // 2)]
             filtrations += _check_every_path(n, digits, rng)
         assert filtrations > 0, n
+
+
+def test_slot_tables_match_dict_built_references():
+    for n in range(1, 8):
+        pairs = pair_list(n)
+        index = {}
+        for t, (i, j) in enumerate(pairs):
+            index[i, j] = index[j, i] = t
+        # each row getter reads entry (i, j) at the pair's slot and every
+        # other entry at the one ABSENT after the digits
+        padded = tuple(range(len(pairs) + 1))
+        rows, bits = _digit_plan(n)
+        for i, row in enumerate(rows):
+            assert row(padded) == tuple(index.get((i, j), len(pairs)) for j in range(n + 1))
+        assert bits == tuple((i, j, 1 << i, 1 << j) for i, j in pairs)
+        want = []
+        for perm in itertools.permutations(range(1, n + 1)):
+            full = (0, *perm)
+            want.append(tuple(index[full[i], full[j]] for i, j in pairs))
+        assert _pair_slot_maps(n) == tuple(want)
 
 
 def test_canonical_key_orbit_constancy():

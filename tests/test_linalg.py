@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from braidfree import MultiArrangement, freeness_verdict, graded_dimension, saito_check
 from braidfree.linalg import ReducedSpan, primitive
@@ -128,6 +129,51 @@ def test_primitive():
     assert primitive([Fraction(1, 2), Fraction(-1, 3)]) == [3, -2]
     assert primitive([-4, 6]) == [2, -3]
     assert primitive([0, 0]) == [0, 0]
+
+
+def _reference_primitive(vec):
+    # the loop form that primitive replaced
+    denom = 1
+    for x in vec:
+        if isinstance(x, Fraction):
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        ints = [v // g for v in ints]
+    for v in ints:
+        if v:
+            if v < 0:
+                ints = [-x for x in ints]
+            break
+    return ints
+
+
+def test_primitive_matches_loop_reference():
+    rng = random.Random(29)
+    vectors = [[], [0], [0, 0, 0], [True, False], [False, True, True], [-7], [Fraction(-3, 4)]]
+    for t in range(3000):
+        size = rng.randint(1, 6)
+        scale = rng.choice((1, 2, 6, 35))
+        kind = t % 3
+        vec = []
+        for _ in range(size):
+            x = rng.randint(-9, 9) * scale if rng.random() < 0.8 else 0
+            if kind == 1:
+                x = Fraction(x, rng.randint(1, 12))
+            elif kind == 2 and rng.random() < 0.5:
+                x = bool(x % 2)
+            vec.append(x)
+        vectors.append(vec)
+    for vec in vectors:
+        got = primitive(vec)
+        assert got == _reference_primitive(vec), vec
+        assert all(type(v) is int for v in got)
+    assert any(next((v for v in vec if v), 0) < 0 for vec in vectors)
 
 
 

@@ -7,15 +7,17 @@ from collections import Counter
 
 import pytest
 
-from braidfree import (EdgeBicoloredGraph, MultiBraidSpec, Ordering, char_poly,
-                       classify, dual_spec, euler_multiplicity,
-                       euler_restrict_spec, find_ordering, induced_subgraph,
-                       lmp2, permute_graph, rank2_exponents, theorem_scope,
-                       to_arrangement, validate_rank2_closed_form)
+from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
+                       Ordering, char_poly, classify, dual_spec,
+                       euler_multiplicity, euler_restrict_spec, find_ordering,
+                       freeness_verdict, induced_subgraph, lmp2, permute_graph,
+                       rank2_exponents, theorem_scope, to_arrangement,
+                       validate_rank2_closed_form)
 from braidfree.eliminate import complete_filtration
 from braidfree.graphs import PLUS, UnsupportedSizeError, enumerate_classes
 from braidfree.multibraid import FREE, NONFREE, OUT_OF_SCOPE
-from braidfree.oracle import rank2_oracle_exponents, euler_restriction_degree
+from braidfree.oracle import (_poly_vanishes_mod_power, euler_restriction_degree,
+                              rank2_oracle_exponents)
 
 K4_PLUS = EdgeBicoloredGraph.from_edges(
     4, plus=[(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
@@ -171,6 +173,40 @@ def test_euler_multiplicity_matches_kernel_oracle():
                     others.remove(m0)
                     assert euler_multiplicity([a, b, c], m0) == \
                         euler_restriction_degree(m0, others)
+
+
+def _euler_degree_by_oracle(lines, mults):
+    # the degree of the basis generator outside alpha_0 * Der, where alpha_0
+    # is the first line x = 0, read as euler_restriction_degree reads it
+    cert = freeness_verdict(MultiArrangement(2, tuple(zip(lines, mults))))
+    assert cert.status == FREE     # every rank-2 multiarrangement is free
+    low, high = sorted(cert.generators, key=lambda g: g.degree)
+    if low.degree < high.degree and all(
+            _poly_vanishes_mod_power(comp, (1, 0), 1) for comp in low.components):
+        return high.degree
+    return low.degree
+
+
+def test_euler_multiplicity_on_four_and_five_lines_matches_the_oracle():
+    # four and five lines are not linearly equivalent to every other choice,
+    # so each multiplicity tuple is checked on two line sets; the first
+    # multiplicity is the restricting hyperplane's
+    line_sets = (((1, 0), (0, 1), (1, -1), (1, 1), (1, 2)),
+                 ((1, 0), (0, 1), (1, -1), (1, 3), (2, -1)))
+    agreed = refused = 0
+    for size in (4, 5):
+        for mults in itertools.product(range(1, 5), repeat=size):
+            if sum(mults) > 9:
+                continue
+            try:
+                got = euler_multiplicity(mults, mults[0])
+            except UnsupportedSizeError:
+                refused += 1
+                continue
+            for lines in line_sets:
+                assert got == _euler_degree_by_oracle(lines[:size], mults), (lines, mults)
+            agreed += 1
+    assert (agreed, refused) == (167, 60)
 
 
 def test_euler_multiplicity_reproduces_restriction_on_flats():
