@@ -49,6 +49,8 @@ def _load_obj(source) -> dict:
         raise InputError(f"cannot read {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{source} is nested too deeply") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{source}: expected a JSON object")
     return obj

@@ -7,7 +7,10 @@ first variable is alpha_H itself, and every monomial coefficient with
 alpha-exponent below m(H) must vanish.  The substitution table behind this
 (``_expansion``) expands each power of the pivot variable once per
 hyperplane and degree, and every monomial with that pivot power reuses the
-terms, shifted by the rest of the monomial.  All constraints are assembled
+terms, shifted by the rest of the monomial.  Every check reads these tables
+the same way, on the flat coefficient vector of a derivation: ``_assemble``
+builds the constraint rows from them, and ``_is_member`` evaluates the same
+rows on one vector without building them.  All constraints are assembled
 over the integers and solved by fraction-free elimination, so dimensions,
 generator counts, and determinant tests are certificates rather than
 numerical estimates.
@@ -27,8 +30,9 @@ it evaluates the essential generators at y = B p (the rows b_t of B are the
 essential coordinate forms), places the values at the pivot columns and adds
 the center vectors, and ranks those rows.  A Free certificate keeps its
 essential basis; its ambient generators are lifted by an integer
-substitution when first read.  All reported tables, generators and Saito
-checks are in the original ambient coordinates, and the whole path is
+substitution when first read, each component in one pass that multiplies
+its terms by the linear forms b_t.  All reported tables, generators and
+Saito checks are in the original ambient coordinates, and the whole path is
 integer arithmetic.
 
 One per-degree scan computes every graded piece: ``graded_dimension``,
@@ -36,13 +40,15 @@ One per-degree scan computes every graded piece: ``graded_dimension``,
 each degree it spans the products of the earlier generators.  The new
 generators are the layer's elements that vanish on that span's pivot
 columns, and a coordinate hyperplane y_i = 0 of multiplicity m forces every
-coefficient of y^mu d/dy_i with mu_i < m to vanish too.  Those "dead"
-columns are left out before the constraint rows are assembled, and the rows
-are eliminated once on the live columns that remain: every kernel vector is
-a new generator, the same as eliminating the whole system would give, and
-each is checked against every hyperplane (see ``_scan_degree``).  The
-rank-2 routines at the end, the tests' reference for the closed forms in
-``multibraid``, read their exponents off one certified basis.
+coefficient of y^mu d/dy_i with mu_i < m to vanish too: those are the
+columns that its own ``_expansion`` table gives a nonempty entry.  These
+"dead" columns are left out before the rows of the other hyperplanes are
+assembled, and the rows are eliminated once on the live columns that
+remain: every kernel vector is a new generator, the same as eliminating the
+whole system would give, and each is checked against every hyperplane (see
+``_scan_degree``).  The rank-2 routines at the end, the tests' reference
+for the closed forms in ``multibraid``, read their exponents off one
+certified basis.
 """
 
 from __future__ import annotations
@@ -260,22 +266,18 @@ def _expansion(normal: tuple, d: int, cap: int):
     return len(row_index), tuple(entries)
 
 
-def _assemble(a: MultiArrangement, d: int, live=None):
-    """Sparse constraint rows ``{column: int}`` over the unknown coefficient
-    vector of a degree-d derivation (columns are coordinate-major: column
-    i*M + t is the t-th monomial of the i-th component).  Given ``live``, an
-    increasing list of columns, every other column is left out, column
-    ``live[k]`` becomes column k, and rows left empty are dropped; returns
-    the rows and their column count.  The coordinate hyperplanes are then
-    skipped: each of their rows is a unit row on a column the caller has
-    left out as dead (see ``_scan_degree``)."""
-    nv = a.dim
+def _assemble(hyperplanes, nv: int, d: int, live=None):
+    """Sparse constraint rows ``{column: int}`` of the given hyperplanes over
+    the unknown coefficient vector of a degree-d derivation in ``nv``
+    variables (columns are coordinate-major: column i*M + t is the t-th
+    monomial of the i-th component).  Given ``live``, an increasing list of
+    columns, every other column is left out, column ``live[k]`` becomes
+    column k, and rows left empty are dropped; returns the rows and their
+    column count."""
     M = _mono_count(nv, d)
     columns = range(nv * M) if live is None else live
     rows: list[dict] = []
-    for normal, mult in a.hyperplanes:
-        if live is not None and normal.count(0) == nv - 1:
-            continue
+    for normal, mult in hyperplanes:
         nrows, entries = _expansion(normal, d, min(mult, d + 1))
         block: list[dict] = [{} for _ in range(nrows)]
         for k, c in enumerate(columns):
@@ -285,6 +287,25 @@ def _assemble(a: MultiArrangement, d: int, live=None):
                     block[row][k] = ai * coeff
         rows.extend(filter(None, block))
     return rows, len(columns)
+
+
+def _is_member(a: MultiArrangement, vec: dict, d: int) -> bool:
+    """True iff alpha_H^m(H) divides theta(alpha_H) for every hyperplane H,
+    theta the degree-d derivation with sparse coefficient vector ``vec``:
+    every constraint row of ``_assemble`` evaluated on ``vec``, the same
+    table entries summed into one accumulator per row instead of built."""
+    M = _mono_count(a.dim, d)
+    for normal, mult in a.hyperplanes:
+        nrows, entries = _expansion(normal, d, min(mult, d + 1))
+        acc = [0] * nrows
+        for c, v in vec.items():
+            ai = normal[c // M]
+            if ai:
+                for row, coeff in entries[c % M]:
+                    acc[row] += ai * coeff * v
+        if any(acc):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -301,54 +322,6 @@ def _poly_mul(p: dict, q: dict) -> dict:
             elif key in out:
                 del out[key]
     return out
-
-
-def _poly_combine(polys, coeffs) -> dict:
-    out: dict = {}
-    for p, c in zip(polys, coeffs):
-        if not c:
-            continue
-        for e, v in p.items():
-            w = out.get(e, 0) + c * v
-            if w:
-                out[e] = w
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _linear_form_power(form: tuple, k: int) -> dict:
-    nv = len(form)
-    base = {tuple(int(i == j) for j in range(nv)): c for i, c in enumerate(form) if c}
-    if not base:
-        return {} if k else {(0,) * nv: 1}
-    out = {(0,) * nv: 1}
-    for _ in range(k):
-        out = _poly_mul(out, base)
-    return out
-
-
-def _poly_vanishes_mod_power(poly: dict, normal: tuple, mult: int) -> bool:
-    """True iff alpha^mult divides the homogeneous polynomial (empty = yes)."""
-    if not poly:
-        return True
-    d = sum(next(iter(poly)))
-    cap = min(mult, d + 1)
-    nv = len(normal)
-    nrows, entries = _expansion(normal, d, cap)
-    idx = monomial_index(nv, d)
-    acc = [0] * nrows
-    for exp, coeff in poly.items():
-        for row, f in entries[idx[exp]]:
-            acc[row] += coeff * f
-    return not any(acc)
-
-
-def _is_member(a: MultiArrangement, el: DerivationElement) -> bool:
-    """True iff alpha_H^m(H) divides el(alpha_H) for every hyperplane H: every
-    constraint row of el's degree, evaluated without building the rows."""
-    return all(_poly_vanishes_mod_power(_poly_combine(el.components, normal), normal, mult)
-               for normal, mult in a.hyperplanes)
 
 
 def _element_from_flat(vec: dict, nv: int, d: int) -> DerivationElement:
@@ -401,13 +374,16 @@ def _essential_form(a: MultiArrangement) -> _EssentialForm:
     exactly one nonzero entry on P: the heaviest hyperplanes become
     coordinate hyperplanes, and the degree scan leaves their columns out as
     dead; for a braid spec the center of the coordinates is the vertex of
-    largest incident multiplicity.  The normals are eliminated once, with
-    the columns of P ordered first, so the table's pivot columns are P.
-    Restriction to P is injective on the span of the normals, so H has
-    essential normal primitive(normal restricted to P).  The kernel vector
-    k_c of a free column c is supported on {c} and P; with D = lcm |k_c[c]|
-    (``scale``), the integer forms b_t = D e_{p_t} - sum_c (D k_c[p_t] /
-    k_c[c]) e_c are orthogonal to every k_c and so span the normals.
+    largest incident multiplicity.  The candidates are taken in that order,
+    and each is tested by eliminating the normals once with its columns
+    ordered first: the normals have rank r on P exactly when the table's
+    pivots are the positions 0..r-1, and the first such table is kept, so
+    its pivot columns are P.  Restriction to P is injective on the span of
+    the normals, so H has essential normal primitive(normal restricted to
+    P).  The kernel vector k_c of a free column c is supported on {c} and P;
+    with D = lcm |k_c[c]| (``scale``), the integer forms b_t = D e_{p_t} -
+    sum_c (D k_c[p_t] / k_c[c]) e_c are orthogonal to every k_c and so span
+    the normals.
 
     Nothing else depends on which basis P is.  The form b_s is D at p_s and
     0 at the other columns of P, so the lift of sum_t g_t d/dy_t, which puts
@@ -424,12 +400,14 @@ def _essential_form(a: MultiArrangement) -> _EssentialForm:
         return sum(mult for normal, mult in a.hyperplanes
                    if sum(1 for c in cols if normal[c]) == 1)
 
-    ranked = sorted((-score(cols), cols) for cols in combinations(range(n), r))
-    pivots = next(cols for _, cols in ranked
-                  if ReducedSpan(r, ([normal[c] for c in cols] for normal in normals)).rank == r)
-    free = [c for c in range(n) if c not in pivots]
-    order = [*pivots, *free]
-    span = ReducedSpan(n, ([normal[c] for c in order] for normal in normals))
+    for _, pivots in sorted((-score(cols), cols) for cols in combinations(range(n), r)):
+        free = [c for c in range(n) if c not in pivots]
+        order = [*pivots, *free]
+        span = ReducedSpan(n, ([normal[c] for c in order] for normal in normals))
+        if max(span.pivots, default=-1) < r:
+            break
+    else:
+        raise AssertionError("the normals have rank r on no r columns")
     center = tuple(tuple(k.get(order.index(i), 0) for i in range(n)) for k in span.kernel())
     scale = lcm(*(abs(k[c]) for k, c in zip(center, free)))
     forms = []
@@ -450,13 +428,20 @@ def _essential_form(a: MultiArrangement) -> _EssentialForm:
     return _EssentialForm(ess, pivots, tuple(forms), center)
 
 
-def _compose(exp: tuple, forms: tuple, ambient: int) -> dict:
-    """The monomial y^exp under y_t = b_t . x, as a polynomial in x."""
-    out = {(0,) * ambient: 1}
-    for b, e in zip(forms, exp):
-        if e:
-            out = _poly_mul(out, _linear_form_power(b, e))
-    return out
+def _compose(poly: dict, forms: tuple, ambient: int) -> dict:
+    """The polynomial poly(y) under y_t = b_t . x, as a polynomial in x: each
+    term is multiplied by its linear forms one at a time."""
+    linear = [{tuple(int(i == j) for j in range(ambient)): c for i, c in enumerate(b) if c}
+              for b in forms]
+    out: dict = {}
+    for exp, coeff in poly.items():
+        term = {(0,) * ambient: coeff}
+        for lin, e in zip(linear, exp):
+            for _ in range(e):
+                term = _poly_mul(term, lin)
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
 def _lift_elements(elements, form: _EssentialForm, ambient: int):
@@ -470,8 +455,7 @@ def _lift_elements(elements, form: _EssentialForm, ambient: int):
     for el in elements:
         comps: list[dict] = [{} for _ in range(ambient)]
         for g, p in zip(el.components, form.pivots):
-            comps[p] = _poly_combine([_compose(exp, form.forms, ambient) for exp in g],
-                                     g.values())
+            comps[p] = _compose(g, form.forms, ambient)
         content = gcd(*(v for comp in comps for v in comp.values()))
         if content > 1:
             comps = [{e: v // content for e, v in comp.items()} for comp in comps]
@@ -515,20 +499,23 @@ def _scan_degree(ess: MultiArrangement, d: int, gens: list):
     Some constraint rows are unit rows too: for a coordinate hyperplane
     y_i = 0 of multiplicity m, theta(y_i) = theta_i, and y_i^m divides it
     exactly when every column (i, mu) with mu_i < min(m, d + 1) is zero, one
-    row per column.  Call the columns of all these unit rows dead and the
-    rest live.  Every other row is its part on the dead columns, a
-    combination of unit rows, plus its part on the live columns, so the row
-    space is the span of the dead unit vectors plus the span of the live
-    parts.  Hence the pivot columns are the dead columns plus the pivots of
-    the live parts, the free columns are live, and the kernel vectors are
-    those of the live parts, extended by zero.  So only the live parts are
-    assembled, on the live columns numbered in increasing order, and
+    row per column; these are the columns (i, t) whose entry in the
+    hyperplane's ``_expansion`` table is nonempty, and they are read off it.
+    Call the columns of all these unit rows dead and the rest live.  Every
+    other row is its part on the dead columns, a combination of unit rows,
+    plus its part on the live columns, so the row space is the span of the
+    dead unit vectors plus the span of the live parts.  Hence the pivot
+    columns are the dead columns plus the pivots of the live parts, the free
+    columns are live, and the kernel vectors are those of the live parts,
+    extended by zero.  So only the live parts of the other hyperplanes' rows
+    are assembled, on the live columns numbered in increasing order, and
     eliminated once: as the numbering keeps the column order, the pivots
     and the primitive kernel vectors (lead positive at the lowest column)
     are those of the full system, and there are len(live) - rank of them.
-    Each is a new generator.  It is checked against every hyperplane, the
-    coordinate ones included, which evaluates every constraint row of the
-    full system without building them, and it must raise the rank of P.
+    Each is a new generator.  Its coefficient vector is checked against
+    every hyperplane, the coordinate ones included, which evaluates every
+    constraint row of the full system without building them
+    (``_is_member``), and it must raise the rank of P.
     """
     nv = ess.dim
     M = _mono_count(nv, d)
@@ -539,20 +526,23 @@ def _scan_degree(ess: MultiArrangement, d: int, gens: list):
         for mu in monomials(nv, d - gen.degree):
             span.insert(_flat_shifted(gen, mu, nv, d))
     dead = set(span.pivots)
+    others = []
     for normal, mult in ess.hyperplanes:
-        if normal.count(0) == nv - 1:   # y_i = 0; as mu_i <= d, mu_i < min(m, d + 1) iff mu_i < m
-            i = next(filter(normal.__getitem__, range(nv)))
-            dead.update(i * M + t for t, mu in enumerate(monomials(nv, d)) if mu[i] < mult)
+        if normal.count(0) == nv - 1:   # y_i = 0
+            off = M * next(filter(normal.__getitem__, range(nv)))
+            entries = _expansion(normal, d, min(mult, d + 1))[1]
+            dead.update(off + t for t, terms in enumerate(entries) if terms)
+        else:
+            others.append((normal, mult))
     live = [c for c in range(nv * M) if c not in dead]
-    table = ReducedSpan(len(live), _assemble(ess, d, live)[0])
+    table = ReducedSpan(len(live), _assemble(others, nv, d, live)[0])
     for vec in table.kernel():
         vec = {live[c]: v for c, v in vec.items()}
-        el = _element_from_flat(vec, nv, d)
-        if not _is_member(ess, el):
+        if not _is_member(ess, vec, d):
             raise AssertionError("a new generator is not a member of the module")
         if not span.insert(vec):
             raise AssertionError("a new generator lies in the product span")
-        gens.append(el)
+        gens.append(_element_from_flat(vec, nv, d))
     return span.rank, len(live) - table.rank
 
 
@@ -588,26 +578,33 @@ def _essential_saito(a: MultiArrangement, form: _EssentialForm, gens, seed: int)
 def saito_check(a: MultiArrangement, gens, seed: int = 0) -> bool:
     """Certify that ``gens`` form a basis of the derivation module.
 
-    Requires exactly ambient-dim elements, re-verifies membership and the
-    degree-sum identity, then tests the coefficient determinant.  Given
-    membership and the degree sum, a non-vanishing determinant forces the
-    determinant to be a constant multiple of the product of the defining
-    forms to their multiplicities, which is Saito's criterion.
+    Requires exactly ambient-dim elements, each with ambient-dim components
+    keyed by exponent tuples of ambient-dim non-negative ints, re-verifies
+    membership and the degree-sum identity, then tests the coefficient
+    determinant.  Given membership and the degree sum, a non-vanishing
+    determinant forces the determinant to be a constant multiple of the
+    product of the defining forms to their multiplicities, which is Saito's
+    criterion.
     """
+    n = a.dim
     gens = list(gens)
-    if len(gens) != a.dim:
+    if len(gens) != n:
         raise ValueError("need exactly ambient-dim derivations")
     for gen in gens:
+        if len(gen.components) != n:
+            raise ValueError("a derivation needs exactly ambient-dim components")
         for comp in gen.components:
             for exp in comp:
-                if sum(exp) != gen.degree:
-                    raise ValueError("components are not homogeneous of the stated degree")
-        if not _is_member(a, gen):
+                if not (isinstance(exp, tuple) and len(exp) == n
+                        and all(type(e) is int and e >= 0 for e in exp) and sum(exp) == gen.degree):
+                    raise ValueError("exponents must be tuples of ambient-dim non-negative ints "
+                                     "summing to the stated degree")
+        if not _is_member(a, _flat_shifted(gen, (0,) * n, n, gen.degree), gen.degree):
             raise ValueError("derivation is not a member of the module")
     if sum(g.degree for g in gens) != a.multiplicity_sum:
         raise ValueError("generator degrees do not sum to the multiplicity sum")
     pt = _random_point(a, random.Random(seed))
-    return ReducedSpan(a.dim, [gen.evaluate(pt) for gen in gens]).rank == a.dim
+    return ReducedSpan(n, [gen.evaluate(pt) for gen in gens]).rank == n
 
 
 def graded_dimension(a: MultiArrangement, d: int) -> int:
@@ -769,8 +766,7 @@ def euler_restriction_degree(m0: int, others) -> int:
     degree is the answer unless alpha_H0 divides that generator.
     """
     low, high = _rank2_basis([m0, *others])
-    alpha0 = _lines(1)[0]
-    if low.degree < high.degree and all(
-            _poly_vanishes_mod_power(comp, alpha0, 1) for comp in low.components):
+    # alpha_H0 = x divides a component iff each of its exponents has x in it
+    if low.degree < high.degree and all(exp[0] > 0 for comp in low.components for exp in comp):
         return high.degree
     return low.degree

@@ -200,6 +200,17 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     assert main(["oracle", "--spec",
                  write(tmp_path, "negspec.json", {"graph": negative, "k": 0})]) == 2
     assert "vertex count must be positive" in capsys.readouterr().err
+    # nesting too deep for the JSON decoder is refused, not a traceback
+    brackets = "[" * 100_000 + "]" * 100_000
+    deep_graph = tmp_path / "deep_graph.json"
+    deep_graph.write_text('{"vertices": 2, "plus": %s}' % brackets)
+    deep_arrangement = tmp_path / "deep_arrangement.json"
+    deep_arrangement.write_text('{"dim": 2, "hyperplanes": %s}' % brackets)
+    for argv in (["classify", "--graph", str(deep_graph)],
+                 ["oracle", "--arrangement", str(deep_arrangement)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "nested" in err
 
 
 def test_internal_assertion_exits_three(tmp_path, capsys, monkeypatch):

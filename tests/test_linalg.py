@@ -116,7 +116,7 @@ def test_graded_dimension_matches_dense_fraction_rank():
             assert all(type(c) is int for gen in cert.generators
                        for comp in gen.components for c in comp.values())
         for d in range(top):
-            rows, cols = _assemble(arr, d)
+            rows, cols = _assemble(arr.hyperplanes, arr.dim, d)
             dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
             assert graded_dimension(arr, d) == cols - fraction_rank(dense, cols)
     assert {FREE, NONFREE} <= statuses

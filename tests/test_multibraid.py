@@ -16,8 +16,7 @@ from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
 from braidfree.eliminate import complete_filtration
 from braidfree.graphs import PLUS, UnsupportedSizeError, enumerate_classes
 from braidfree.multibraid import FREE, NONFREE, OUT_OF_SCOPE
-from braidfree.oracle import (_poly_vanishes_mod_power, euler_restriction_degree,
-                              rank2_oracle_exponents)
+from braidfree.oracle import euler_restriction_degree, rank2_oracle_exponents
 
 K4_PLUS = EdgeBicoloredGraph.from_edges(
     4, plus=[(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
@@ -181,8 +180,7 @@ def _euler_degree_by_oracle(lines, mults):
     cert = freeness_verdict(MultiArrangement(2, tuple(zip(lines, mults))))
     assert cert.status == FREE     # every rank-2 multiarrangement is free
     low, high = sorted(cert.generators, key=lambda g: g.degree)
-    if low.degree < high.degree and all(
-            _poly_vanishes_mod_power(comp, (1, 0), 1) for comp in low.components):
+    if low.degree < high.degree and all(exp[0] > 0 for comp in low.components for exp in comp):
         return high.degree
     return low.degree
 

@@ -140,10 +140,21 @@ def test_saito_check_paths():
         saito_check(BRAID3, (th0, th1))          # wrong count
     with pytest.raises(ValueError):
         saito_check(BRAID3, (th0, th0, th0))     # degree sum mismatch
+    th2 = sorted(cert.generators, key=lambda el: el.degree)[2]
     bad = DerivationElement(1, ({(1, 0, 0): 1}, {}, {}))
     with pytest.raises(ValueError):
-        saito_check(BRAID3, (th0, bad, sorted(cert.generators,
-                                              key=lambda el: el.degree)[2]))
+        saito_check(BRAID3, (th0, bad, th2))
+
+    # malformed shapes: each exponent padded with a 0 (truncated to its
+    # first three entries, the padded generator is th1 itself), a short
+    # exponent, and too few components
+    padded = DerivationElement(th1.degree, tuple(
+        {e + (0,): c for e, c in comp.items()} for comp in th1.components))
+    short = DerivationElement(1, ({(1, 0): 1}, {}, {}))
+    clipped = DerivationElement(th1.degree, th1.components[:2])
+    for malformed in (padded, short, clipped):
+        with pytest.raises(ValueError):
+            saito_check(BRAID3, (th0, malformed, th2))
 
 
 def test_verdict_matches_classifier_on_samples():
@@ -342,7 +353,7 @@ def _layers(arr, top):
     """Full kernel bases of the ambient constraint tables, degrees 0..top."""
     out = []
     for d in range(top + 1):
-        rows, cols = oracle._assemble(arr, d)
+        rows, cols = oracle._assemble(arr.hyperplanes, arr.dim, d)
         out.append((list(ReducedSpan(cols, rows).kernel()), cols))
     return out
 
@@ -423,7 +434,7 @@ def _reference_scan_degree(ess, d, gens):
     row on each pivot column of the product span, eliminated together;
     (dim, new generator count, new generators)."""
     nv = ess.dim
-    rows, cols = oracle._assemble(ess, d)
+    rows, cols = oracle._assemble(ess.hyperplanes, ess.dim, d)
     span = ReducedSpan(cols)
     for gen in gens:
         for mu in monomials(nv, d - gen.degree):
@@ -642,7 +653,7 @@ def test_rank_deficient_arrangement_with_a_two_dimensional_center():
     assert cert.status == FREE and cert.generator_degrees == (0, 0, 3, 5)
     assert saito_check(arr, cert.generators, seed=cert.seed)
     for d, dim in cert.dimension_table.items():
-        rows, cols = oracle._assemble(arr, d)
+        rows, cols = oracle._assemble(arr.hyperplanes, arr.dim, d)
         assert dim == cols - ReducedSpan(cols, rows).rank
 
 
@@ -769,10 +780,10 @@ def test_assembled_rows_match_the_composition_loop(monkeypatch):
     reference = functools.lru_cache(maxsize=None)(_reference_expansion)
     for arr, degrees in cases:
         for d in degrees:
-            got = oracle._assemble(arr, d)
+            got = oracle._assemble(arr.hyperplanes, arr.dim, d)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_expansion", reference)
-                assert got == oracle._assemble(arr, d)
+                assert got == oracle._assemble(arr.hyperplanes, arr.dim, d)
 
 
 def _count_comb(monkeypatch):
@@ -833,7 +844,26 @@ def _random_poly(rng, nv, d, terms):
     return {rng.choice(monos): rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(terms)}
 
 
-def test_poly_vanishes_mod_power_matches_division():
+def _alpha_power(normal, m):
+    alpha = {tuple(int(i == j) for j in range(len(normal))): a for i, a in enumerate(normal) if a}
+    power = {(0,) * len(normal): 1}
+    for _ in range(m):
+        power = oracle._poly_mul(power, alpha)
+    return power
+
+
+def _member_along_pivot(poly, d, normal, mult):
+    """``_is_member`` on the one-hyperplane arrangement for poly * d/dx_p, p
+    the normal's first nonzero column, poly of degree d: theta(alpha) =
+    a_p * poly, so theta is a member iff alpha^mult divides poly."""
+    nv = len(normal)
+    p = next(i for i, a in enumerate(normal) if a)
+    el = DerivationElement(d, tuple(poly if i == p else {} for i in range(nv)))
+    vec = oracle._flat_shifted(el, (0,) * nv, nv, d)
+    return oracle._is_member(MultiArrangement(nv, ((normal, mult),)), vec, d)
+
+
+def test_is_member_on_one_hyperplane_matches_division():
     rng = random.Random(31)
     normals = [(1, -1), (2, -3), (0, 3), (-2, 1, 0), (2, 0, -3), (1, -1, 2), (3, -2, 5),
                (0, 0, 1, -1), (1, 0, -1, -2), (0, -2, 0, 0, 1), (2, -1, 0, 3, -1)]
@@ -843,12 +873,12 @@ def test_poly_vanishes_mod_power_matches_division():
         nv = len(normal)
         m = rng.randint(1, 4)
         q = _random_poly(rng, nv, rng.randint(0, 3), rng.randint(1, 4))
-        poly = oracle._poly_mul(q, oracle._linear_form_power(normal, m))
+        poly = oracle._poly_mul(q, _alpha_power(normal, m))
         if not poly:
             continue
-        assert oracle._poly_vanishes_mod_power(poly, normal, m)
-        assert _reference_divisible(poly, normal, m)
         d = sum(next(iter(poly)))
+        assert _member_along_pivot(poly, d, normal, m)
+        assert _reference_divisible(poly, normal, m)
         for mult in (m, m + 1, rng.randint(1, d + 2)):
             bumped = dict(poly)
             mu = rng.choice(monomials(nv, d))
@@ -856,6 +886,6 @@ def test_poly_vanishes_mod_power_matches_division():
             bumped = {e: c for e, c in bumped.items() if c}
             for p in (poly, bumped):
                 want = _reference_divisible(p, normal, mult)
-                assert oracle._poly_vanishes_mod_power(p, normal, mult) == want
+                assert _member_along_pivot(p, d, normal, mult) == want
                 outcomes.add(want)
     assert outcomes == {True, False}
