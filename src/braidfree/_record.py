@@ -1,5 +1,5 @@
-"""Record classes: the ``dataclasses`` methods this package uses, built from
-closures instead of compiled source.
+"""Record classes: the ``dataclasses`` methods this package uses, with one
+compiled function per class.
 
 ``record`` reads a class's own annotated fields, in order, and gives it
 ``__init__``, ``__repr__`` and ``__eq__``; a frozen record also gets
@@ -7,27 +7,26 @@ closures instead of compiled source.
 ``AttributeError``, and any other record is unhashable.  The methods match
 what ``dataclass(eq=True)`` generates:
 
-- the constructor takes the init fields positionally or by keyword, with
-  their defaults, then calls ``__post_init__`` if the class has one; an
-  ``init=False`` field with a default reads it from the class attribute
-  until it is set;
-- ``__eq__`` compares the compare-fields of two instances of the same class
-  and returns ``NotImplemented`` otherwise;
-- ``__hash__`` is ``hash(tuple(compare-fields))``, so set and dict orders
-  are those the dataclasses gave;
-- ``repr`` is ``Name(field=value, ...)`` over the repr-fields.
+- ``__init__`` is compiled from source with the signature
+  ``(self, f1, ..., fk=default)``, so the interpreter binds the arguments
+  and raises the ``TypeError`` of a wrong call; it stores each field in the
+  instance ``__dict__``, in field order, then calls ``__post_init__`` if
+  the class has one;
+- ``__eq__`` compares the fields of two instances of the same class and
+  returns ``NotImplemented`` otherwise;
+- ``__hash__`` is ``hash(tuple(fields))``, so set and dict orders are those
+  the dataclasses gave;
+- ``repr`` is ``Name(field=value, ...)`` over the fields not marked
+  ``repr=False``.
 
-The constructor sets each field with ``object.__setattr__``, as the frozen
-dataclasses did: filling ``__dict__`` directly would be cheaper, but in
-CPython 3.11 it leaves a split dict on which attribute reads are not
-specialized and take about twice as long.  Every instance still has a
-``__dict__`` for the graph builder (``_from_valid_digits``) and cached
-conditions to write into.  A method that a class defines itself is kept.
-Inheritance between records, ``ClassVar`` and default factories are not
-supported: no record uses them.
+Every field, and every value derived from the fields (the graph masks, the
+conditions a report finds), is written straight into the instance
+``__dict__``, on a frozen record too.  A method that a class defines itself
+is kept.  Inheritance between records, ``ClassVar`` and default factories
+are not supported: no record uses them.
 
 It exists because ``import dataclasses`` loads ``inspect``, ``ast`` and
-``tokenize``, and ``@dataclass`` compiles each method with ``exec``:
+``tokenize``, and ``@dataclass`` compiles about six methods per class:
 together about a third of the import time of every fresh command.
 """
 
@@ -39,18 +38,16 @@ _MISSING = object()
 
 
 class _Field:
-    __slots__ = ("default", "init", "repr", "compare")
+    __slots__ = ("default", "repr")
 
-    def __init__(self, default=_MISSING, init=True, repr=True, compare=True):
+    def __init__(self, default=_MISSING, repr=True):
         self.default = default
-        self.init = init
         self.repr = repr
-        self.compare = compare
 
 
-def field(*, default=_MISSING, init: bool = True, repr: bool = True, compare: bool = True):
+def field(*, default=_MISSING, repr: bool = True):
     """Options of one field, as in ``dataclasses.field``."""
-    return _Field(default, init, repr, compare)
+    return _Field(default, repr)
 
 
 def record(cls=None, /, *, frozen: bool = False):
@@ -69,25 +66,20 @@ def _values(names: tuple):
     return attrgetter(*names)
 
 
-def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
-    """The init-field values of a call, in field order, or the ``TypeError``
-    that a function with this signature raises."""
-    where = f"{cls.__qualname__}.__init__()"
-    if len(args) > len(names):
-        raise TypeError(f"{where} takes {len(names) + 1} positional arguments "
-                        f"but {len(args) + 1} were given")
-    values = dict(zip(names, args))
-    for name, value in kwargs.items():
-        if name not in names:
-            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-        if name in values:
-            raise TypeError(f"{where} got multiple values for argument {name!r}")
-        values[name] = value
-    missing = [name for name in names if name not in values and name not in defaults]
-    if missing:
-        raise TypeError(f"{where} missing required arguments: "
-                        + ", ".join(map(repr, missing)))
-    return [values[name] if name in values else defaults[name] for name in names]
+def _init(cls, names: tuple, defaults: dict):
+    """The ``__init__`` of the fields ``names``, compiled with their own
+    signature.  The default values are read from ``defaults`` when the
+    function is defined, never written into the source; field names are
+    annotation keys, so they are identifiers."""
+    params = "".join(f", {name}=_defaults[{name!r}]" if name in defaults else f", {name}"
+                     for name in names)
+    lines = [f"def __init__(self{params}):", "    __dict__ = self.__dict__"]
+    lines += [f"    __dict__[{name!r}] = {name}" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"_defaults": defaults}
+    exec(compile("\n".join(lines), f"<record {cls.__qualname__}>", "exec"), namespace)
+    return namespace["__init__"]
 
 
 def _build(cls, frozen: bool):
@@ -103,22 +95,10 @@ def _build(cls, frozen: bool):
             delattr(cls, name)
         fields.append((name, spec))
 
-    names = tuple(name for name, spec in fields if spec.init)
-    defaults = {name: spec.default for name, spec in fields
-                if spec.init and spec.default is not _MISSING}
+    names = tuple(name for name, spec in fields)
+    defaults = {name: spec.default for name, spec in fields if spec.default is not _MISSING}
     shown = tuple(name for name, spec in fields if spec.repr)
-    key = _values(tuple(name for name, spec in fields if spec.compare))
-    post_init = hasattr(cls, "__post_init__")
-    count = len(names)
-    setattr_ = object.__setattr__
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            args = _bind(cls, names, defaults, args, kwargs)
-        for name, value in zip(names, args):
-            setattr_(self, name, value)
-        if post_init:
-            self.__post_init__()
+    key = _values(names)
 
     def __repr__(self):
         return (f"{self.__class__.__qualname__}("
@@ -129,7 +109,7 @@ def _build(cls, frozen: bool):
             return key(self) == key(other)
         return NotImplemented
 
-    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__}
+    methods = {"__init__": _init(cls, names, defaults), "__repr__": __repr__, "__eq__": __eq__}
     if frozen:
         def __hash__(self):
             return hash(key(self))

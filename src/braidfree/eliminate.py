@@ -347,10 +347,16 @@ def find_mountain(g: EdgeBicoloredGraph):
 def find_hill(g: EdgeBicoloredGraph):
     """Search for an induced hill: a path v_1..v_m (m >= 2) in one color with
     two hubs joined to each other and to overlapping path prefixes/suffixes in
-    the other color; remaining pairs absent."""
+    the other color; remaining pairs absent.
+
+    Only hub pairs omega1 < omega2 are tried.  A hill for (omega2, omega1) is
+    the reversed path of a hill for (omega1, omega2), a pair that comes
+    first in the order of all ordered pairs, so the first ordered pair with
+    a hill has omega1 < omega2 and the witness is the one the search over
+    ordered pairs finds."""
     adj = g.adjacency
     for sigma in (PLUS, MINUS):
-        for omega1, omega2 in itertools.permutations(g.vertices(), 2):
+        for omega1, omega2 in itertools.combinations(g.vertices(), 2):
             spokes = adj[sigma][omega1]
             if not spokes >> omega2 & 1:
                 continue
@@ -394,13 +400,6 @@ class StructuralReport:
     """
 
     graph: EdgeBicoloredGraph
-
-    def __init__(self, graph: EdgeBicoloredGraph):
-        # written out rather than generic, at about half the cost: the census
-        # builds one report and one result per graph it decides.  Both write
-        # ``__dict__`` directly, cheaper than ``object.__setattr__`` for
-        # fields that are read only a few times
-        self.__dict__["graph"] = graph
 
     @_found_once
     def chordal_plus(self) -> bool:
@@ -449,14 +448,6 @@ class EliminabilityResult:
     eliminable: bool
     ordering: Ordering | None
     structural: StructuralReport
-
-    def __init__(self, eliminable: bool, ordering: Ordering | None,
-                 structural: StructuralReport):
-        # written out, like ``StructuralReport.__init__``
-        attrs = self.__dict__
-        attrs["eliminable"] = eliminable
-        attrs["ordering"] = ordering
-        attrs["structural"] = structural
 
 
 def is_eliminable(g: EdgeBicoloredGraph) -> EliminabilityResult:

@@ -33,7 +33,7 @@ import functools
 import itertools
 from operator import itemgetter
 
-from ._record import field, record
+from ._record import record
 
 # edge color codes
 ABSENT, PLUS, MINUS = 0, 1, 2
@@ -84,13 +84,13 @@ class EdgeBicoloredGraph:
     ``mat[i][j]`` holds the color code of the pair {i,j} (row and column 0 are
     ABSENT padding); the tuple matrix is symmetric with zero diagonal.  Bit u of
     ``adjacency[c][v]`` is set when u != v and the pair {v,u} has color code
-    c (index 0 of each row is unused); it is derived from ``mat``, so it
-    takes no part in equality, hashing or ``repr``.
+    c (index 0 of each row is unused).  ``adjacency`` is not a field: it is
+    derived from ``mat`` and kept in the instance ``__dict__``, so it takes
+    no part in equality, hashing or ``repr``.
     """
 
     n: int
     mat: tuple[tuple[int, ...], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, mat = self.n, self.mat
@@ -109,8 +109,7 @@ class EdgeBicoloredGraph:
                 if type(c) is not int or c not in _CODES:
                     raise ValueError("unknown edge color code")
         built = self._from_valid_digits(n, self.digits())
-        object.__setattr__(self, "mat", built.mat)
-        object.__setattr__(self, "adjacency", built.adjacency)
+        self.__dict__.update(mat=built.mat, adjacency=built.adjacency)
 
     @classmethod
     def _from_valid_digits(cls, n: int, digits: tuple) -> "EdgeBicoloredGraph":

@@ -165,8 +165,8 @@ def euler_multiplicity(mults, m0: int) -> int:
     applicable combinatorial case decides.  Every flat of 2 or 3 hyperplanes
     meets one: with 3, when the rules on 2*m0 and 2*m1 fail, 2*m0 < total
     and 2*m1 < total - 1, so the last rule applies.  A larger flat that no
-    case covers is refused.  ``oracle.euler_restriction_degree`` finds the
-    same degree from the rank-2 basis and is the tests' reference.
+    case covers is refused.  The tests read the same degree off the rank-2
+    basis that ``oracle.freeness_verdict`` certifies.
     """
     mults = sorted(mults, reverse=True)
     if len(mults) < 2:

@@ -156,7 +156,7 @@ class FreenessCertificate:
     note: str | None = None
     essential_form: _EssentialForm | None = field(default=None, repr=False)
     essential_generators: tuple | None = field(default=None, repr=False)
-    _generators: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _generators = None   # the lifted basis, once ``generators`` is read
 
     @property
     def generators(self) -> tuple | None:
@@ -221,7 +221,9 @@ def _expansion(normal: tuple, d: int, cap: int):
     powers some monomial has.  A row (r0, tail) is keyed by one integer, its
     digits in radix d + 1, so the key of a term of x^mu is the key of mu's
     tail plus the term's increment.  With no other variable in the support
-    (a coordinate hyperplane) the only term is r0 = mu_p.
+    (a coordinate hyperplane) the only term of x^mu is r0 = mu_p, so each
+    x^mu with mu_p < cap is its own row, with coefficient a_p^(d - mu_p),
+    and the table is written down directly.
     """
     nv = len(normal)
     pivot = min((i for i, a in enumerate(normal) if a), key=lambda i: abs(normal[i]))
@@ -232,11 +234,18 @@ def _expansion(normal: tuple, d: int, cap: int):
         weight[i] = radix ** q
     top = radix ** (nv - 1)  # the place value of r0
     support = [(weight[i], -a) for i, a in enumerate(normal) if a and i != pivot]
+    if not support:
+        entries, rows = [], 0
+        for mu in monomials(nv, d):
+            kept = mu[pivot] < cap
+            entries.append(((rows, apiv ** (d - mu[pivot])),) if kept else ())
+            rows += kept
+        return rows, tuple(entries)
 
     def power_terms(mp: int) -> list:
         scale = apiv ** (d - mp)
         terms = []
-        for r0 in range(0 if support else mp, min(mp, cap - 1) + 1):
+        for r0 in range(min(mp, cap - 1) + 1):
             rest = mp - r0
             head = comb(mp, r0) * scale
             # ascending lexicographic order: it fixes the row numbering
@@ -743,30 +752,9 @@ def _rank2_certificate(mults) -> FreenessCertificate:
     return cert
 
 
-def _rank2_basis(mults) -> list:
-    """The certified rank-2 basis, sorted by degree."""
-    return sorted(_rank2_certificate(mults).generators, key=lambda g: g.degree)
-
-
 def rank2_oracle_exponents(mults) -> tuple[int, int]:
     """Exponents (d1 >= d2) of 2 or 3 concurrent lines with the given
     multiplicities, straight from the graded kernels (no generator is
     lifted)."""
     low, high = _rank2_certificate(mults).generator_degrees
     return high, low
-
-
-def euler_restriction_degree(m0: int, others) -> int:
-    """Degree of the rank-2 basis generator lying outside alpha_H0 * Der.
-
-    The distinguished line H0 carries multiplicity m0; the basis of the
-    rank-2 module splits into one generator inside alpha_H0 * Der and one
-    outside, whose degree is the Euler restriction multiplicity.  Below the
-    top degree the layer is spanned by the low generator alone, so the low
-    degree is the answer unless alpha_H0 divides that generator.
-    """
-    low, high = _rank2_basis([m0, *others])
-    # alpha_H0 = x divides a component iff each of its exponents has x in it
-    if low.degree < high.degree and all(exp[0] > 0 for comp in low.components for exp in comp):
-        return high.degree
-    return low.degree

@@ -16,7 +16,7 @@ from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
 from braidfree.eliminate import complete_filtration
 from braidfree.graphs import PLUS, UnsupportedSizeError, enumerate_classes
 from braidfree.multibraid import FREE, NONFREE, OUT_OF_SCOPE
-from braidfree.oracle import euler_restriction_degree, rank2_oracle_exponents
+from braidfree.oracle import rank2_oracle_exponents
 
 K4_PLUS = EdgeBicoloredGraph.from_edges(
     4, plus=[(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
@@ -171,12 +171,15 @@ def test_euler_multiplicity_matches_kernel_oracle():
                     others = sorted((a, b, c))
                     others.remove(m0)
                     assert euler_multiplicity([a, b, c], m0) == \
-                        euler_restriction_degree(m0, others)
+                        _euler_degree_by_oracle(((1, 0), (0, 1), (1, -1)), [m0, *others])
 
 
 def _euler_degree_by_oracle(lines, mults):
-    # the degree of the basis generator outside alpha_0 * Der, where alpha_0
-    # is the first line x = 0, read as euler_restriction_degree reads it
+    # the Euler restriction multiplicity read off the rank-2 basis: it splits
+    # into one generator inside alpha_0 * Der and one outside, alpha_0 being
+    # the first line x = 0.  Below the top degree the layer is spanned by the
+    # low generator alone, so its degree is the answer unless x divides it,
+    # that is unless every exponent of it has x in it
     cert = freeness_verdict(MultiArrangement(2, tuple(zip(lines, mults))))
     assert cert.status == FREE     # every rank-2 multiarrangement is free
     low, high = sorted(cert.generators, key=lambda g: g.degree)

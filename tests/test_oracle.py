@@ -812,6 +812,17 @@ def test_high_multiplicity_line_takes_one_term_per_degree(monkeypatch):
     assert len(calls) < 5 * 1001        # a few per degree, not one per r0
 
 
+def test_coordinate_normal_table_is_written_without_binomials(monkeypatch):
+    # a coordinate hyperplane's table is one row per kept monomial, written
+    # down directly; expanding the pivot powers would call comb at every degree
+    cases = [((0, 2, 0), 6, 3), ((-3,), 5, 6), ((0, 0, 0, 0, 5), 8, 3), ((0, 1), 10, 11)]
+    wants = [_reference_expansion(*case) for case in cases]
+    calls = _count_comb(monkeypatch)
+    for case, want in zip(cases, wants):
+        assert oracle._expansion.__wrapped__(*case) == want, case
+    assert calls == []
+
+
 def _reference_divisible(poly, normal, mult):
     """alpha^mult divides poly, by repeated exact division by alpha in its
     pivot variable x_p over Q: each step cancels a term of highest

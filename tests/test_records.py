@@ -2,11 +2,12 @@
 constructor, equality, hashing, ``repr``, frozenness and pickling, on one
 instance of each of the 18 records."""
 
+import inspect
 import pickle
 
 import pytest
 
-from braidfree._record import record
+from braidfree._record import field, record
 from braidfree.deform import DeformationSpec, deformation_verdict
 from braidfree.eliminate import (HillWitness, MountainWitness, Ordering, complete_filtration,
                                  find_ordering, is_eliminable, structural_check)
@@ -205,6 +206,36 @@ def test_defaults_and_init_false_fields():
                  lambda: EdgeBicoloredGraph(g.n, g.mat, adjacency=g.adjacency)):
         with pytest.raises(TypeError):
             call()
+
+
+# the fields that have a default, with it
+DEFAULTS = {"FreenessCertificate": {"note": None, "essential_form": None,
+                                    "essential_generators": None}}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_init_signature_lists_the_fields_with_their_defaults(name):
+    params = list(inspect.signature(type(INSTANCES[name]).__init__).parameters.values())
+    assert [p.name for p in params] == ["self", *FIELDS[name]]
+    defaults = DEFAULTS.get(name, {})
+    for p in params[1:]:
+        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert p.default is defaults.get(p.name, inspect.Parameter.empty), p.name
+
+
+@record
+class _Defaulted:
+    first: int
+    second: str = "second"
+    third: tuple = field(default=(3,), repr=False)
+
+
+def test_each_default_is_bound_to_its_own_field():
+    assert list(inspect.signature(_Defaulted).parameters) == ["first", "second", "third"]
+    x = _Defaulted(1)
+    assert (x.first, x.second, x.third) == (1, "second", (3,))
+    assert _Defaulted(1, third=()) == _Defaulted(first=1, second="second", third=())
+    assert repr(x) == "_Defaulted(first=1, second='second')"
 
 
 @pytest.mark.parametrize("name", NAMES)
