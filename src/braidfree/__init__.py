@@ -13,8 +13,7 @@ from .eliminate import (EliminabilityResult, Filtration, Ordering,
                         structural_check, structurally_eliminable, tilde_degrees)
 from .multibraid import (CharPoly, MultiBraidSpec, Verdict, char_poly, classify,
                          dual_spec, euler_multiplicity, euler_restrict_spec,
-                         lmp2, rank2_exponents, theorem_scope, to_arrangement,
-                         validate_rank2_closed_form)
+                         lmp2, rank2_exponents, theorem_scope, to_arrangement)
 from .oracle import (FREE, INCONCLUSIVE, NONFREE, DerivationElement,
                      FreenessCertificate, MultiArrangement, freeness_verdict,
                      graded_dimension, minimal_generators, saito_check)

@@ -6,8 +6,9 @@ and seed; ``--format table`` renders a human-readable view instead.
 
 Exit codes: 0 for any mathematical verdict, 2 for input errors and for a
 report that cannot be written (a closed pipe, a full device), 3 for an
-internal failure (a bug, e.g. the two eliminability routes disagreeing, or a
-``--jobs`` worker process dying).
+internal failure (a bug, e.g. the two eliminability routes disagreeing, a
+Free verdict whose exponents break e2(exponents) = LMP2, or a ``--jobs``
+worker process dying).
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ def cmd_classify(args) -> dict:
     result = _verdict_obj(spec, verdict)
     result["lmp2"] = lmp2(spec)
     if verdict.status == FREE:
+        # a free multiarrangement has e2(exponents) = LMP2 (Abe-Terao-Wakefield 2007)
+        e2 = sum(a * b for a, b in itertools.combinations(verdict.exponents, 2))
+        if e2 != result["lmp2"]:
+            raise AssertionError("Free exponents break e2(exponents) = LMP2")
         result["char_poly_roots"] = list(CharPoly.of(verdict).roots)
         filtration = complete_filtration(graph, verdict.ordering)
         result["filtration"] = [list(edge) for edge, _ in filtration.added_edges]

@@ -3,10 +3,13 @@
 A spec (k, n_1..n_{l+1}, G) puts multiplicity 2k + n_i + n_j + c on the
 hyperplane x_i = x_j, where c is +1/-1/0 as {i,j} is a Plus edge, a Minus
 edge, or absent.  Within the proven scope (k positive, or no Minus edges, or
-no Plus edges with all multiplicities positive) freeness is equivalent to
+no Plus edges with every shift n_i positive, which is k positive after
+moving 1 from each n_i into k) freeness is equivalent to
 bicolor-eliminability of G, with exponents 0 and B + d_r for r = 2..l+1,
 where B is the common offset (l+1)k + sum n_i and d_r the tilde-degrees
-along any elimination ordering.
+along any elimination ordering.  At k = 0 with a Minus edge and a vertex of
+shift 0 the verdict is OutOfTheoremScope: there the eliminability reading
+is refuted (see ``theorem_scope``).
 
 Hyperplanes receiving multiplicity 0 are dropped; the derivation module does
 not see them.  Negative multiplicities (possible only outside the theorem
@@ -23,7 +26,7 @@ from .eliminate import (Ordering, StructuralReport, is_eliminable,
                         tilde_degrees)
 from .graphs import (MINUS, PLUS, EdgeBicoloredGraph, UnsupportedSizeError,
                      color_swap, induced_subgraph, pair_list)
-from .oracle import FREE, NONFREE, MultiArrangement, rank2_oracle_exponents
+from .oracle import FREE, NONFREE, MultiArrangement
 
 OUT_OF_SCOPE = "OutOfTheoremScope"
 
@@ -84,12 +87,22 @@ class Verdict:
 
 
 def theorem_scope(spec: MultiBraidSpec) -> str | None:
-    """The first scope condition the spec satisfies, or None."""
+    """The first scope condition the spec satisfies, or None: (a) k > 0,
+    (b) no Minus edge, (c) no Plus edge and every shift n_i >= 1.
+
+    Condition (c) is (a) read in other coordinates: moving 1 from each n_i
+    into k gives the spec (1, n - 1, G), with the same multiplicity
+    2 + (n_i - 1) + (n_j - 1) + w = n_i + n_j + w >= 1 on every hyperplane
+    and the same offset B = (l+1) + sum (n_i - 1) = sum n_i.  A vertex of
+    shift 0 is left out of (c): at n = (2, 2, 0) with Minus edges 13 and 23
+    the graph is eliminable, but the oracle certifies exponents (0, 2, 4)
+    where the tilde-degrees give (0, 3, 3).
+    """
     if spec.k > 0:
         return "a"
     if not spec.graph.minus_edges():
         return "b"
-    if not spec.graph.plus_edges() and all(m > 0 for m in spec.multiplicities().values()):
+    if not spec.graph.plus_edges() and min(spec.n) >= 1:
         return "c"
     return None
 
@@ -204,9 +217,9 @@ def rank2_exponents(mults) -> tuple[int, int]:
     (ceil(total/2), floor(total/2)) otherwise (A. Wakamiko, On the exponents
     of 2-multiarrangements, Tokyo J. Math. 30 (2007)); any three distinct
     lines of a plane are linearly equivalent, so only the multiplicities
-    matter.  Nothing checks this at run time: ``validate_rank2_closed_form``
-    compares it with the kernel oracle, which the test suite runs on every
-    tuple of total at most 12; ``lmp2`` also reads larger totals.
+    matter.  Nothing checks this at run time: the test suite compares it
+    with the kernel oracle on every tuple of total at most 12; ``lmp2`` also
+    reads larger totals.
     """
     ms = sorted(mults, reverse=True)
     if any(m < 1 for m in ms):
@@ -218,29 +231,6 @@ def rank2_exponents(mults) -> tuple[int, int]:
         d1 = max(ms[0], (total + 1) // 2)
         return d1, total - d1
     raise UnsupportedSizeError("rank-2 flats of braid arrangements have 2 or 3 lines")
-
-
-def validate_rank2_closed_form(max_total: int = 12) -> int:
-    """Compare the closed form with the graded-kernel oracle on every 2- and
-    3-line multiplicity tuple with total at most ``max_total``; returns the
-    number of cases, raising on any mismatch."""
-    checked = 0
-    for a in range(1, max_total):
-        for b in range(1, max_total - a + 1):
-            if rank2_exponents((a, b)) != rank2_oracle_exponents((a, b)):
-                raise AssertionError(f"closed form wrong on two lines ({a},{b})")
-            checked += 1
-    for a in range(1, max_total - 1):
-        for b in range(1, max_total - a):
-            for c in range(1, max_total - a - b + 1):
-                got = rank2_exponents((a, b, c))
-                want = rank2_oracle_exponents((a, b, c))
-                if got != want:
-                    raise AssertionError(
-                        f"closed form wrong on three lines ({a},{b},{c}): "
-                        f"{got} vs {want}")
-                checked += 1
-    return checked
 
 
 def lmp2(spec: MultiBraidSpec) -> int:

@@ -46,9 +46,7 @@ columns that its own ``_expansion`` table gives a nonempty entry.  These
 assembled, and the rows are eliminated once on the live columns that
 remain: every kernel vector is a new generator, the same as eliminating the
 whole system would give, and each is checked against every hyperplane (see
-``_scan_degree``).  The rank-2 routines at the end, the tests' reference
-for the closed forms in ``multibraid``, read their exponents off one
-certified basis.
+``_scan_degree``).
 """
 
 from __future__ import annotations
@@ -727,34 +725,3 @@ def _run(a: MultiArrangement, budget: int | None, seed: int,
         seed=seed, budget=budget, note=note,
         essential_form=form if free else None,
         essential_generators=tuple(gens) if free else None)
-
-
-# ---------------------------------------------------------------------------
-# rank-2 routines: the tests' reference for the closed forms in multibraid
-
-def _lines(count: int):
-    return ((1, 0), (0, 1), (1, -1))[:count]
-
-
-def _rank2_certificate(mults) -> FreenessCertificate:
-    """The Free certificate of 2 or 3 concurrent lines with the given
-    multiplicities.  Any such multiarrangement is free, and 3 distinct
-    concurrent lines are linearly equivalent to any other 3, so only the
-    multiplicities matter; the first line is x = 0."""
-    mults = list(mults)
-    if len(mults) not in (2, 3):
-        raise UnsupportedSizeError("rank-2 oracle handles 2 or 3 lines")
-    if any(m < 1 for m in mults):
-        raise ValueError("multiplicities must be positive")
-    cert = freeness_verdict(MultiArrangement(2, tuple(zip(_lines(len(mults)), mults))))
-    if cert.status != FREE:
-        raise AssertionError("rank-2 multiarrangement did not certify free")
-    return cert
-
-
-def rank2_oracle_exponents(mults) -> tuple[int, int]:
-    """Exponents (d1 >= d2) of 2 or 3 concurrent lines with the given
-    multiplicities, straight from the graded kernels (no generator is
-    lifted)."""
-    low, high = _rank2_certificate(mults).generator_degrees
-    return high, low

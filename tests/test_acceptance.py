@@ -14,11 +14,11 @@ from braidfree import (DeformationSpec, DirectedGraph, EdgeBicoloredGraph,
                        complete_filtration, deformation_verdict, dual_spec,
                        find_ordering, freeness_verdict, is_valid_ordering,
                        iter_valid_orderings, lmp2, structurally_eliminable,
-                       theorem_scope, tilde_degrees, to_arrangement,
-                       validate_rank2_closed_form)
+                       theorem_scope, tilde_degrees, to_arrangement)
 from braidfree.eliminate import is_chordal_one_color
 from braidfree.graphs import PLUS, enumerate_classes, pair_list
 from braidfree.multibraid import FREE, NONFREE
+from test_multibraid import check_rank2_closed_form
 
 
 def report(number, name):
@@ -135,7 +135,7 @@ def test_criterion_04_lmp_fixtures():
 
 def test_criterion_05_rank2_closed_form():
     with report(5, "rank-2 closed form == kernel oracle on 286 tuples"):
-        assert validate_rank2_closed_form(12) == 286
+        assert check_rank2_closed_form(12) == 286
 
 
 def test_criterion_06_ordering_invariance():

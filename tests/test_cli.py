@@ -224,6 +224,19 @@ def test_internal_assertion_exits_three(tmp_path, capsys, monkeypatch):
     assert rc == 3
 
 
+def test_free_verdict_breaking_e2_identity_exits_three(tmp_path, capsys, monkeypatch):
+    # a Free verdict is certified by e2(exponents) = LMP2: an LMP2 off by one
+    # must be reported as an internal failure, and only on Free verdicts
+    real = cli.lmp2
+    monkeypatch.setattr(cli, "lmp2", lambda spec: real(spec) + 1)
+    rc = main(["classify", "--graph", write(tmp_path, "g.json", K4)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: ") and "LMP2" in err
+    rc, _ = run(capsys, "classify", "--graph", write(tmp_path, "c.json", CYCLE), "--k", "1")
+    assert rc == 0
+
+
 def test_census_decides_each_class_once(capsys, monkeypatch):
     import braidfree.cli as cli
     import braidfree.multibraid as multibraid

@@ -1,5 +1,9 @@
 """Multi-braid specs: scope, classification, duality, Euler restrictions,
-rank-2 exponents, and local mixed products."""
+rank-2 exponents, and local mixed products.
+
+``rank2_certificate`` is the suite's one rank-2 reference: every check of the
+rank-2 closed forms, here and in the oracle and acceptance tests, reads the
+oracle's certificate through it."""
 
 import itertools
 import random
@@ -11,12 +15,10 @@ from braidfree import (EdgeBicoloredGraph, MultiArrangement, MultiBraidSpec,
                        Ordering, char_poly, classify, dual_spec,
                        euler_multiplicity, euler_restrict_spec, find_ordering,
                        freeness_verdict, induced_subgraph, lmp2, permute_graph,
-                       rank2_exponents, theorem_scope, to_arrangement,
-                       validate_rank2_closed_form)
+                       rank2_exponents, theorem_scope, to_arrangement)
 from braidfree.eliminate import complete_filtration
-from braidfree.graphs import PLUS, UnsupportedSizeError, enumerate_classes
+from braidfree.graphs import MINUS, PLUS, UnsupportedSizeError, enumerate_classes
 from braidfree.multibraid import FREE, NONFREE, OUT_OF_SCOPE
-from braidfree.oracle import rank2_oracle_exponents
 
 K4_PLUS = EdgeBicoloredGraph.from_edges(
     4, plus=[(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
@@ -58,6 +60,56 @@ def test_classify_examples():
 
     out = classify(spec(0, (0, 0, 0), EdgeBicoloredGraph.from_edges(3, minus=[(1, 2)])))
     assert out.status == OUT_OF_SCOPE and out.exponents is None
+
+
+def test_zero_shift_counterexamples_are_out_of_scope():
+    # k = 0, Minus edges only, a vertex of shift 0: the oracle certifies
+    # what eliminability and the tilde-degrees do not give (they read
+    # Free (0,3,3), NonFree and Free (0,4,4,4) here)
+    cases = [((2, 2, 0), [(1, 3), (2, 3)], (0, 2, 4)),
+             ((0, 1, 2, 2), [(1, 3), (1, 4), (2, 3), (2, 4)], (0, 3, 4, 4)),
+             ((0, 1, 2, 2), [(1, 3), (1, 4), (2, 3)], (0, 3, 4, 5))]
+    for n, minus, degrees in cases:
+        s = spec(0, n, EdgeBicoloredGraph.from_edges(len(n), minus=minus))
+        assert theorem_scope(s) is None
+        assert classify(s).status == OUT_OF_SCOPE
+        cert = freeness_verdict(to_arrangement(s))
+        assert (cert.status, cert.generator_degrees) == (FREE, degrees)
+
+
+def test_three_vertex_verdicts_at_k0_match_the_oracle():
+    # every coloring with every shift up to 4: in scope are the 8 graphs
+    # without a Minus edge (b) and the 7 with Minus edges only at positive
+    # shifts (c)
+    checked = 0
+    for digits in itertools.product(range(3), repeat=3):
+        g = EdgeBicoloredGraph.from_digits(3, digits)
+        for n in itertools.product(range(5), repeat=3):
+            s = spec(0, n, g)
+            v = classify(s)
+            if v.status == OUT_OF_SCOPE:
+                continue
+            checked += 1
+            cert = freeness_verdict(to_arrangement(s))
+            assert v.status == cert.status, s
+            if v.status == FREE:
+                assert v.exponents == cert.generator_degrees, s
+    assert checked == 8 * 5 ** 3 + 7 * 4 ** 3
+
+
+def test_free_exponents_satisfy_e2_at_k0_without_plus_edges():
+    # Abe-Terao-Wakefield: a free multiarrangement has e2(exponents) = LMP2;
+    # on 4 vertices with shifts up to 3 and no Plus edge
+    free = 0
+    for digits in itertools.product((0, MINUS), repeat=6):
+        g = EdgeBicoloredGraph.from_digits(4, digits)
+        for n in itertools.product(range(4), repeat=4):
+            s = spec(0, n, g)
+            v = classify(s)
+            if v.status == FREE:
+                free += 1
+                assert e2(v.exponents) == lmp2(s), s
+    assert free == 5116
 
 
 def test_every_verdict_carries_the_structural_report():
@@ -171,18 +223,42 @@ def test_euler_multiplicity_matches_kernel_oracle():
                     others = sorted((a, b, c))
                     others.remove(m0)
                     assert euler_multiplicity([a, b, c], m0) == \
-                        _euler_degree_by_oracle(((1, 0), (0, 1), (1, -1)), [m0, *others])
+                        _euler_degree_by_oracle([m0, *others])
 
 
-def _euler_degree_by_oracle(lines, mults):
+RANK2_LINES = ((1, 0), (0, 1), (1, -1))
+
+
+def rank2_certificate(mults, lines=RANK2_LINES):
+    """The oracle's certificate for concurrent lines of the plane with the
+    given multiplicities, the first line x = 0.  Every rank-2
+    multiarrangement is free, and any 3 distinct concurrent lines are
+    linearly equivalent, so for 2 or 3 lines only the multiplicities
+    matter.  Its ``generator_degrees`` are the exponents and need no lift;
+    ``generators`` lifts the basis on first read."""
+    cert = freeness_verdict(MultiArrangement(2, tuple(zip(lines, mults))))
+    assert cert.status == FREE
+    return cert
+
+
+def check_rank2_closed_form(max_total):
+    """Compare ``rank2_exponents`` with the oracle on every 2- and 3-line
+    multiplicity tuple of total at most ``max_total``; the number of tuples."""
+    tuples = [ms for size in (2, 3)
+              for ms in itertools.product(range(1, max_total), repeat=size)
+              if sum(ms) <= max_total]
+    for ms in tuples:
+        assert tuple(sorted(rank2_exponents(ms))) == rank2_certificate(ms).generator_degrees, ms
+    return len(tuples)
+
+
+def _euler_degree_by_oracle(mults, lines=RANK2_LINES):
     # the Euler restriction multiplicity read off the rank-2 basis: it splits
     # into one generator inside alpha_0 * Der and one outside, alpha_0 being
     # the first line x = 0.  Below the top degree the layer is spanned by the
     # low generator alone, so its degree is the answer unless x divides it,
     # that is unless every exponent of it has x in it
-    cert = freeness_verdict(MultiArrangement(2, tuple(zip(lines, mults))))
-    assert cert.status == FREE     # every rank-2 multiarrangement is free
-    low, high = sorted(cert.generators, key=lambda g: g.degree)
+    low, high = sorted(rank2_certificate(mults, lines).generators, key=lambda g: g.degree)
     if low.degree < high.degree and all(exp[0] > 0 for comp in low.components for exp in comp):
         return high.degree
     return low.degree
@@ -205,7 +281,7 @@ def test_euler_multiplicity_on_four_and_five_lines_matches_the_oracle():
                 refused += 1
                 continue
             for lines in line_sets:
-                assert got == _euler_degree_by_oracle(lines[:size], mults), (lines, mults)
+                assert got == _euler_degree_by_oracle(mults, lines[:size]), (lines, mults)
             agreed += 1
     assert (agreed, refused) == (167, 60)
 
@@ -237,11 +313,11 @@ def test_rank2_exponent_examples():
     assert rank2_exponents((2, 2, 2)) == (3, 3)
     with pytest.raises(UnsupportedSizeError):
         rank2_exponents((1, 1, 1, 1))
-    assert rank2_oracle_exponents((1, 1, 1)) == (2, 1)
+    assert rank2_certificate((1, 1, 1)).generator_degrees == (1, 2)
 
 
 def test_rank2_closed_form_small_sweep():
-    assert validate_rank2_closed_form(8) == (7 + 6 + 5 + 4 + 3 + 2 + 1) + 56
+    assert check_rank2_closed_form(8) == (7 + 6 + 5 + 4 + 3 + 2 + 1) + 56
 
 
 def test_lmp2_examples():

@@ -27,6 +27,7 @@ from braidfree.graphs import DirectedGraph, permute_graph
 from braidfree.linalg import ReducedSpan, primitive
 from braidfree.oracle import (DerivationElement, FREE, INCONCLUSIVE, NONFREE,
                               coordinate_derivations, monomials)
+from test_multibraid import check_rank2_closed_form
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -280,9 +281,8 @@ def test_census_oracle_never_lifts(capsys, monkeypatch):
 
 
 def test_rank2_closed_form_validation_never_lifts(monkeypatch):
-    from braidfree import validate_rank2_closed_form
     calls = _count_lifts(monkeypatch)
-    assert validate_rank2_closed_form(6) == 15 + 20
+    assert check_rank2_closed_form(6) == 15 + 20
     assert calls == []
 
 
